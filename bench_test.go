@@ -96,11 +96,7 @@ func BenchmarkMeasures(b *testing.B) {
 	for _, m := range []string{"H", "Hw", "ORA", "MPO"} {
 		b.Run(m, func(b *testing.B) {
 			cfg := benchConfig(b, engine.AlgT1On, 10)
-			meas, err := uncertainty.New(m)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg.Measure = meas
+			cfg.Measure = m
 			runAndReport(b, cfg)
 		})
 	}
@@ -204,7 +200,7 @@ func BenchmarkAStarOptimality(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				cfg.Measure = uncertainty.Entropy{}
+				cfg.Measure = "H"
 				cfg.Budget = budget
 				runAndReport(b, cfg)
 			})

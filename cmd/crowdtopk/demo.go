@@ -35,8 +35,7 @@ func cmdDemo(args []string) error {
 	if err != nil {
 		return err
 	}
-	m, err := uncertainty.New(*measure)
-	if err != nil {
+	if _, err := uncertainty.New(*measure); err != nil {
 		return err
 	}
 	rng := rand.New(rand.NewSource(*seed))
@@ -98,7 +97,7 @@ func cmdDemo(args []string) error {
 	}
 	res, err := engine.Run(engine.Config{
 		Dists: ds, K: *k, Budget: *budget, Algorithm: *alg,
-		Measure: m, Crowd: cr, Truth: truth, Seed: *seed,
+		Measure: *measure, Crowd: cr, Truth: truth, Seed: *seed,
 	})
 	if err != nil {
 		return err

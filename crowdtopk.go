@@ -11,7 +11,6 @@ import (
 	"crowdtopk/internal/engine"
 	"crowdtopk/internal/rank"
 	"crowdtopk/internal/tpo"
-	"crowdtopk/internal/uncertainty"
 )
 
 // init wires the bridge hooks that let the sibling public package
@@ -257,16 +256,12 @@ func Process(d *Dataset, query Query, cr Crowd) (*Result, error) {
 	if query.Measure == "" {
 		query.Measure = MeasureMPO
 	}
-	m, err := uncertainty.New(string(query.Measure))
-	if err != nil {
-		return nil, err
-	}
 	cfg := engine.Config{
 		Dists:     d.dists,
 		K:         query.K,
 		Budget:    query.Budget,
 		Algorithm: string(query.Algorithm),
-		Measure:   m,
+		Measure:   string(query.Measure),
 		Crowd:     crowdAdapter{cr},
 		// The engine only samples a world when it must simulate its own
 		// crowd; with an external crowd the truth is never consulted, but

@@ -48,14 +48,15 @@
 //
 // NextQuestions returns the strategy's currently best pending questions
 // (idempotently — a crashed client pulls the same work again), SubmitAnswer
-// accepts answers in any order within the issued set and conditions the tree
-// through the same transition code the batch engine runs, and Result reports
-// the current top-K belief in every state. Checkpoint serializes the whole
-// session (dataset, configuration, conditioned orderings, answer log, RNG
-// position) into a versioned JSON envelope; RestoreSession verifies the
-// schema version and dataset digest and resumes mid-query, in this process
-// or another. A session driven to completion returns exactly what Process
-// returns for the same configuration and answers.
+// accepts answers in any order within the issued set and conditions the
+// tree, and Result reports the current top-K belief in every state.
+// Checkpoint serializes the whole session (dataset, configuration,
+// conditioned orderings, answer log, RNG position) into a versioned JSON
+// envelope; RestoreSession verifies the schema version and dataset digest
+// and resumes mid-query, in this process or another. A session driven to
+// completion returns exactly what Process returns for the same
+// configuration and answers: there is one query driver, and Process and the
+// paper's experiments run it with a blocking Crowd callback.
 //
 // The crowdtopk CLI serves these sessions over HTTP (`crowdtopk serve`):
 // POST /v1/sessions creates or restores, GET questions / POST answers /
@@ -169,9 +170,11 @@
 // are resolved once per sweep into a dense matrix, measures evaluate
 // weight/path views in place without normalized copies
 // (uncertainty.ViewMeasure), and candidate questions fan across a
-// configurable worker count with deterministic output. The README's
-// Performance section records the measured effect (≈4–11× on the residual
-// sweeps, 40–70× fewer allocations, identical selected batches).
+// configurable worker count with deterministic output. It is the only
+// selection path: every tree leaf set has the rectangular shape the arena
+// needs. The README's Performance section records the measured effect
+// (≈4–11× on the residual sweeps, 40–70× fewer allocations, identical
+// selected batches).
 //
 // # Concurrency model
 //

@@ -7,7 +7,6 @@ import (
 
 	"crowdtopk/internal/dataset"
 	"crowdtopk/internal/tpo"
-	"crowdtopk/internal/uncertainty"
 )
 
 // AblationGrid quantifies the numerical design choice DESIGN.md calls out:
@@ -149,16 +148,11 @@ func Trajectory(o ExpOptions) (*Table, error) {
 		}
 	}
 	tbl := NewTable("Convergence: distance after each answered question (T1-on)", "question", nil)
-	m, err := uncertainty.New(o.Measure)
-	if err != nil {
-		return nil, err
-	}
 	cfg, err := o.config(AlgT1On)
 	if err != nil {
 		return nil, err
 	}
 	cfg.Budget = budget
-	cfg.Measure = m
 	cfg.RecordTrajectory = true
 	// Average trajectories across trials (ragged tails padded with their
 	// final value — early termination means the distance stays put).

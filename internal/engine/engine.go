@@ -1,44 +1,37 @@
-// Package engine runs the paper's uncertainty-reduction protocol end to end:
-// build the TPO for a top-K query, select questions with a chosen strategy,
-// pose them to a (simulated) crowd, prune or reweight the tree with the
-// answers, and measure the residual distance to the real ordering. It is the
-// harness behind every experiment in §IV.
+// Package engine runs the paper's uncertainty-reduction protocol end to end
+// against a simulated crowd and measures the outcome. Run drives one query
+// through internal/session — the state machine that serves traffic — asking
+// its questions of a Crowd until the session is terminal, and reports the
+// residual distance to the real ordering. It is the harness behind every
+// experiment in §IV.
 package engine
 
 import (
-	"errors"
-	"fmt"
 	"math/rand"
 	"time"
 
 	"crowdtopk/internal/crowd"
 	"crowdtopk/internal/dist"
 	"crowdtopk/internal/rank"
-	"crowdtopk/internal/selection"
+	"crowdtopk/internal/session"
 	"crowdtopk/internal/tpo"
-	"crowdtopk/internal/uncertainty"
 )
 
 // Algorithm names accepted by Config.Algorithm.
 const (
-	AlgRandom     = "random"
-	AlgNaive      = "naive"
-	AlgTBOff      = "TB-off"
-	AlgCOff       = "C-off"
-	AlgAStarOff   = "A*-off"
-	AlgExhaustive = "exhaustive"
-	AlgT1On       = "T1-on"
-	AlgAStarOn    = "A*-on"
-	AlgIncr       = "incr"
+	AlgRandom     = session.AlgRandom
+	AlgNaive      = session.AlgNaive
+	AlgTBOff      = session.AlgTBOff
+	AlgCOff       = session.AlgCOff
+	AlgAStarOff   = session.AlgAStarOff
+	AlgExhaustive = session.AlgExhaustive
+	AlgT1On       = session.AlgT1On
+	AlgAStarOn    = session.AlgAStarOn
+	AlgIncr       = session.AlgIncr
 )
 
 // Algorithms lists every supported algorithm name.
-func Algorithms() []string {
-	return []string{AlgRandom, AlgNaive, AlgTBOff, AlgCOff, AlgAStarOff, AlgExhaustive, AlgT1On, AlgAStarOn, AlgIncr}
-}
-
-// ErrUnknownAlgorithm reports an unrecognized Config.Algorithm.
-var ErrUnknownAlgorithm = errors.New("engine: unknown algorithm")
+func Algorithms() []string { return session.Algorithms() }
 
 // Config describes one uncertainty-reduction run.
 type Config struct {
@@ -48,9 +41,10 @@ type Config struct {
 	K, Budget int
 	// Algorithm selects the question-selection strategy (Alg* constants).
 	Algorithm string
-	// Measure drives selection; nil defaults to U_MPO (the paper's best
-	// structure-aware measure).
-	Measure uncertainty.Measure
+	// Measure names the uncertainty measure driving selection (H, Hw, ORA,
+	// ORA-FR or MPO); empty selects U_MPO, the paper's best structure-aware
+	// measure.
+	Measure string
 	// Crowd answers the questions. Nil defaults to a PerfectOracle over
 	// Truth.
 	Crowd crowd.Crowd
@@ -60,21 +54,17 @@ type Config struct {
 	Build tpo.BuildOptions
 	// RoundSize is the incr algorithm's questions-per-round n (default 5).
 	RoundSize int
-	// Penalty is the top-K distance penalty parameter (default 1/2).
-	Penalty float64
 	// BranchEpsilon tunes the expected-residual recursion.
 	BranchEpsilon float64
 	// Seed drives all randomness of the run (truth sampling, noisy
 	// workers, baseline shuffles).
 	Seed int64
 	// Workers bounds the number of concurrent trials in RunTrials and of
-	// concurrent experiment cells; it is also forwarded to the TPO build
-	// when Build.Workers is unset, and to the selection sweeps of a
-	// standalone Run (where >1 fans candidate questions across that many
-	// goroutines). Zero selects GOMAXPROCS for trials/cells. Results are
-	// identical for every value: trials derive independent RNGs from Seed
-	// and aggregate in trial order, and sweep residuals land in per-index
-	// slots.
+	// concurrent experiment cells; when Build.Workers is unset it is also
+	// the parallelism of the run's TPO build and selection sweeps. Zero
+	// selects GOMAXPROCS for trials/cells. Results are identical for every
+	// value: trials derive independent RNGs from Seed and aggregate in
+	// trial order, and sweep residuals land in per-index slots.
 	Workers int
 	// RecordTrajectory captures D(ω_r, T_K) after every answer into
 	// Result.Trajectory (index 0 is the pre-question distance).
@@ -87,11 +77,12 @@ type Result struct {
 	// Asked is the number of questions actually posed (early termination
 	// can leave budget unspent).
 	Asked int
-	// InitialDistance and FinalDistance are D(ω_r, T_K) before and after
-	// uncertainty reduction.
+	// InitialDistance and FinalDistance are D(ω_r, T_K) when the session
+	// is created and when it terminates. For incr the initial tree is the
+	// partial one its first round was planned on.
 	InitialDistance, FinalDistance float64
-	// InitialUncertainty and FinalUncertainty are the measure's values.
-	InitialUncertainty, FinalUncertainty float64
+	// FinalUncertainty is the measure's value on the final tree.
+	FinalUncertainty float64
 	// InitialLeaves and FinalLeaves count the orderings in the tree.
 	InitialLeaves, FinalLeaves int
 	// Resolved reports whether a single ordering remained.
@@ -106,225 +97,87 @@ type Result struct {
 	// FinalOrdering is the representative ordering reported to the user.
 	FinalOrdering rank.Ordering
 	// Trajectory is D(ω_r, T_K) before questions and after each answer
-	// (only with Config.RecordTrajectory; incr records at full depth only).
+	// (only with Config.RecordTrajectory; incr records once its tree has
+	// depth K).
 	Trajectory []float64
 }
 
-// Run executes one uncertainty-reduction trial.
+// Run executes one uncertainty-reduction trial: it creates a session from
+// cfg, answers every question the session asks with the crowd until the
+// session is terminal, and reads the outcome, the phase timings and the
+// truth distances off the session.
 func Run(cfg Config) (*Result, error) {
-	if cfg.Measure == nil {
-		cfg.Measure = uncertainty.MPO{Penalty: cfg.Penalty}
+	scfg := session.Config{
+		Dists:         cfg.Dists,
+		K:             cfg.K,
+		Budget:        cfg.Budget,
+		Algorithm:     cfg.Algorithm,
+		Measure:       cfg.Measure,
+		RoundSize:     cfg.RoundSize,
+		BranchEpsilon: cfg.BranchEpsilon,
+		Build:         cfg.Build,
+		Seed:          cfg.Seed,
 	}
-	if cfg.RoundSize == 0 {
-		cfg.RoundSize = 5
+	if scfg.Build.Workers == 0 {
+		scfg.Build.Workers = cfg.Workers
 	}
-	if cfg.Build.Workers == 0 {
-		cfg.Build.Workers = cfg.Workers
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	truth := cfg.Truth
 	if truth == nil {
-		truth = crowd.SampleTruth(cfg.Dists, rng)
+		// The world comes from the head of the Seed stream; the session's
+		// random baselines continue where sampling stopped.
+		src := session.NewCountingSource(cfg.Seed)
+		truth = crowd.SampleTruth(cfg.Dists, rand.New(src))
+		scfg.RNGDraws = src.Draws()
 	}
 	cr := cfg.Crowd
 	if cr == nil {
 		cr = &crowd.PerfectOracle{Truth: truth}
 	}
-
-	r := &Result{Algorithm: cfg.Algorithm}
-	run := &runner{cfg: cfg, truth: truth, crowd: cr, rng: rng, res: r}
-	var err error
-	switch cfg.Algorithm {
-	case AlgIncr:
-		err = run.incremental()
-	case AlgT1On, AlgAStarOn:
-		err = run.online()
-	case AlgRandom, AlgNaive, AlgTBOff, AlgCOff, AlgAStarOff, AlgExhaustive:
-		err = run.offline()
-	default:
-		err = fmt.Errorf("%w: %q", ErrUnknownAlgorithm, cfg.Algorithm)
-	}
+	// Any reliability of 1 or more means trusted answers that prune.
+	scfg.Reliability = min(cr.Reliability(), 1)
+	s, err := session.NewTransient(scfg)
 	if err != nil {
 		return nil, err
 	}
-	r.TotalTime = r.BuildTime + r.SelectTime + r.ApplyTime
-	return r, nil
-}
 
-type runner struct {
-	cfg   Config
-	truth *crowd.GroundTruth
-	crowd crowd.Crowd
-	rng   *rand.Rand
-	res   *Result
-	tree  *tpo.Tree
-}
-
-func (r *runner) context() *selection.Context {
-	return &selection.Context{
-		Tree:          r.tree,
-		Measure:       r.cfg.Measure,
-		BranchEpsilon: r.cfg.BranchEpsilon,
-		// Forwarded as-is: RunTrials and the experiment sweeps pin this to 1
-		// so the worker budget stays spent at the outermost parallel level;
-		// a standalone Run with Workers > 1 parallelizes its residual sweeps.
-		Workers: r.cfg.Workers,
-	}
-}
-
-// buildFull materializes the depth-K tree, recording timing and initial
-// metrics.
-func (r *runner) buildFull() error {
-	start := time.Now()
-	tree, err := tpo.Build(r.cfg.Dists, r.cfg.K, r.cfg.Build)
-	r.res.BuildTime += time.Since(start)
-	if err != nil {
-		return err
-	}
-	r.tree = tree
-	r.recordInitial()
-	return nil
-}
-
-func (r *runner) recordInitial() {
-	ls := r.tree.LeafSet()
-	r.res.InitialLeaves = ls.Len()
-	r.res.InitialUncertainty = r.cfg.Measure.Value(ls)
-	r.res.InitialDistance = r.truth.Distance(ls, r.cfg.Penalty)
-	if r.cfg.RecordTrajectory && r.tree.Depth() == r.cfg.K {
-		r.res.Trajectory = append(r.res.Trajectory, r.res.InitialDistance)
-	}
-}
-
-// recordStep appends the post-answer distance to the trajectory.
-func (r *runner) recordStep() {
-	if !r.cfg.RecordTrajectory || r.tree.Depth() != r.cfg.K {
-		return
-	}
-	r.res.Trajectory = append(r.res.Trajectory, r.truth.Distance(r.tree.LeafSet(), r.cfg.Penalty))
-}
-
-func (r *runner) recordFinal() {
-	ls := r.tree.LeafSet()
-	r.res.FinalLeaves = ls.Len()
-	r.res.FinalUncertainty = r.cfg.Measure.Value(ls)
-	r.res.FinalDistance = r.truth.Distance(ls, r.cfg.Penalty)
-	r.res.Resolved = ls.Len() <= 1
-	r.res.FinalOrdering = uncertainty.Representative(r.cfg.Measure, ls)
-}
-
-// applyAnswer conditions the tree on an answer via the shared transition
-// code (ApplyAnswer), recording timing and contradictions.
-func (r *runner) applyAnswer(a tpo.Answer) error {
-	start := time.Now()
-	defer func() { r.res.ApplyTime += time.Since(start) }()
-	contradicted, err := ApplyAnswer(r.tree, a, r.crowd.Reliability())
-	if contradicted {
-		r.res.Contradictions++
-	}
-	return err
-}
-
-func (r *runner) offline() error {
-	if err := r.buildFull(); err != nil {
-		return err
-	}
-	strat, err := OfflineStrategy(r.cfg.Algorithm, r.rng)
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	batch, err := strat.SelectBatch(r.tree.LeafSet(), r.cfg.Budget, r.context())
-	r.res.SelectTime += time.Since(start)
-	if err != nil {
-		return err
-	}
-	for _, q := range batch {
-		a := r.crowd.Ask(q)
-		r.res.Asked++
-		if err := r.applyAnswer(a); err != nil {
-			return err
+	r := &Result{Algorithm: cfg.Algorithm}
+	record := func(ls *tpo.LeafSet) {
+		if cfg.RecordTrajectory && ls.K == cfg.K {
+			r.Trajectory = append(r.Trajectory, truth.Distance(ls, 0))
 		}
-		r.recordStep()
 	}
-	r.recordFinal()
-	return nil
-}
-
-func (r *runner) online() error {
-	if err := r.buildFull(); err != nil {
-		return err
-	}
-	strat, err := OnlineStrategy(r.cfg.Algorithm)
-	if err != nil {
-		return err
-	}
-	for r.res.Asked < r.cfg.Budget {
-		start := time.Now()
-		q, ok, err := strat.NextQuestion(r.tree.LeafSet(), r.cfg.Budget-r.res.Asked, r.context())
-		r.res.SelectTime += time.Since(start)
+	ls := s.LeafSet()
+	r.InitialLeaves = ls.Len()
+	r.InitialDistance = truth.Distance(ls, 0)
+	record(ls)
+	for {
+		qs, _, err := s.NextQuestions(0)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if !ok {
-			break // early termination: all uncertainty removed
+		if len(qs) == 0 {
+			break // terminal
 		}
-		a := r.crowd.Ask(q)
-		r.res.Asked++
-		if err := r.applyAnswer(a); err != nil {
-			return err
-		}
-		r.recordStep()
-	}
-	r.recordFinal()
-	return nil
-}
-
-// incremental implements the incr algorithm (§III.D): the TPO is built one
-// level at a time, alternating construction with rounds of n questions and
-// pruning, so that large trees are only materialized where the surviving
-// orderings need them.
-func (r *runner) incremental() error {
-	start := time.Now()
-	tree, err := tpo.StartIncremental(r.cfg.Dists, r.cfg.K, r.cfg.Build)
-	r.res.BuildTime += time.Since(start)
-	if err != nil {
-		return err
-	}
-	r.tree = tree
-	// Initial metrics must refer to the same depth-K space other
-	// algorithms report; compute them from a throwaway full build? No —
-	// the point of incr is avoiding that cost. Report the depth-1 state
-	// and let the final metrics land at depth K.
-	r.recordInitial()
-
-	remaining := r.cfg.Budget
-	for remaining > 0 {
-		batch, buildTime, selectTime, err := PlanIncrRound(r.tree, r.cfg.K, r.cfg.RoundSize, remaining, r.context())
-		r.res.BuildTime += buildTime
-		r.res.SelectTime += selectTime
-		if err != nil {
-			return err
-		}
-		if len(batch) == 0 {
-			break // tree fully built and certain
-		}
-		for _, q := range batch {
-			a := r.crowd.Ask(q)
-			r.res.Asked++
-			if err := r.applyAnswer(a); err != nil {
-				return err
+		for _, q := range qs {
+			if err := s.SubmitAnswer(cr.Ask(q)); err != nil {
+				return nil, err
+			}
+			if cfg.RecordTrajectory {
+				record(s.LeafSet())
 			}
 		}
-		remaining -= len(batch)
 	}
-	// Materialize any missing levels so the reported result is a depth-K
-	// tree comparable with the other algorithms.
-	buildTime, err := ExtendToDepth(r.tree, r.cfg.K)
-	r.res.BuildTime += buildTime
-	if err != nil {
-		return err
-	}
-	r.recordFinal()
-	return nil
+
+	res := s.Result()
+	r.Asked = res.Asked
+	r.Contradictions = res.Contradictions
+	r.FinalLeaves = res.Orderings
+	r.Resolved = res.Resolved
+	r.FinalUncertainty = res.Uncertainty
+	r.FinalOrdering = res.Ranking
+	r.FinalDistance = truth.Distance(s.LeafSet(), 0)
+	t := s.Timings()
+	r.BuildTime, r.SelectTime, r.ApplyTime = t.Build, t.Select, t.Apply
+	r.TotalTime = t.Build + t.Select + t.Apply
+	return r, nil
 }

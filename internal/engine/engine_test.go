@@ -3,12 +3,15 @@ package engine
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"crowdtopk/internal/crowd"
 	"crowdtopk/internal/dataset"
 	"crowdtopk/internal/dist"
-	"crowdtopk/internal/uncertainty"
+	"crowdtopk/internal/selection"
+	"crowdtopk/internal/session"
+	"crowdtopk/internal/tpo"
 )
 
 // testWorkload returns a small but genuinely uncertain workload.
@@ -50,7 +53,7 @@ func TestRunAllAlgorithmsReduceDistance(t *testing.T) {
 
 func TestRunUnknownAlgorithm(t *testing.T) {
 	cfg := baseConfig(t, "bogus")
-	if _, err := Run(cfg); !errors.Is(err, ErrUnknownAlgorithm) {
+	if _, err := Run(cfg); !errors.Is(err, session.ErrUnknownAlgorithm) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -263,12 +266,8 @@ func TestRunTrialsAggregation(t *testing.T) {
 func TestMeasureSelectionAffectsRuns(t *testing.T) {
 	cfg := baseConfig(t, AlgT1On)
 	for _, name := range []string{"H", "Hw", "ORA", "MPO"} {
-		m, err := uncertainty.New(name)
-		if err != nil {
-			t.Fatal(err)
-		}
 		c := cfg
-		c.Measure = m
+		c.Measure = name
 		res, err := Run(c)
 		if err != nil {
 			t.Fatalf("measure %s: %v", name, err)
@@ -285,7 +284,7 @@ func TestAStarAlgorithmsOnTinyInstance(t *testing.T) {
 		K:         2,
 		Budget:    2,
 		Algorithm: AlgAStarOff,
-		Measure:   uncertainty.Entropy{},
+		Measure:   "H",
 		Seed:      29,
 	}
 	offRes, err := Run(cfg)
@@ -307,5 +306,84 @@ func TestAStarAlgorithmsOnTinyInstance(t *testing.T) {
 	cfg.Algorithm = AlgExhaustive
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// recordingCrowd remembers the questions it was asked.
+type recordingCrowd struct {
+	crowd.Crowd
+	asked []tpo.Question
+}
+
+func (r *recordingCrowd) Ask(q tpo.Question) tpo.Answer {
+	r.asked = append(r.asked, q)
+	return r.Crowd.Ask(q)
+}
+
+// TestBaselinesContinueTheTruthStream: with Truth unset, the world is
+// sampled from the head of the Seed stream and the random baselines draw
+// their batch from where sampling stopped — one generator for the whole run.
+func TestBaselinesContinueTheTruthStream(t *testing.T) {
+	for _, alg := range []string{AlgRandom, AlgNaive} {
+		t.Run(alg, func(t *testing.T) {
+			cfg := baseConfig(t, alg)
+			rng := rand.New(rand.NewSource(cfg.Seed))
+			rec := &recordingCrowd{Crowd: &crowd.PerfectOracle{Truth: crowd.SampleTruth(cfg.Dists, rng)}}
+			cfg.Crowd = rec
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+
+			tree, err := tpo.Build(cfg.Dists, cfg.K, cfg.Build)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch := func(rng *rand.Rand) []tpo.Question {
+				s := selection.Offline(selection.NewRandom(rng))
+				if alg == AlgNaive {
+					s = selection.NewNaive(rng)
+				}
+				qs, err := s.SelectBatch(tree.LeafSet(), cfg.Budget, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return qs
+			}
+			want := batch(rng)
+			if !slices.Equal(rec.asked, want) {
+				t.Fatalf("asked %v, want %v (drawn after the world)", rec.asked, want)
+			}
+			if fresh := batch(rand.New(rand.NewSource(cfg.Seed))); slices.Equal(fresh, want) {
+				t.Fatalf("a fresh stream draws the same batch %v; the check is vacuous", fresh)
+			}
+		})
+	}
+}
+
+// TestRunPhaseTimings: BuildTime covers tree construction and extension,
+// SelectTime the selection sweeps and ApplyTime conditioning on answers;
+// TotalTime is their sum.
+func TestRunPhaseTimings(t *testing.T) {
+	for _, alg := range []string{AlgT1On, AlgTBOff, AlgIncr} {
+		res, err := Run(baseConfig(t, alg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.BuildTime <= 0 || res.SelectTime <= 0 || res.ApplyTime <= 0 {
+			t.Errorf("%s: build/select/apply = %v/%v/%v, want all positive", alg, res.BuildTime, res.SelectTime, res.ApplyTime)
+		}
+		if res.TotalTime != res.BuildTime+res.SelectTime+res.ApplyTime {
+			t.Errorf("%s: total %v is not the sum of the phases", alg, res.TotalTime)
+		}
+	}
+	// Nothing to ask: the tree is built, nothing is selected or applied.
+	cfg := baseConfig(t, AlgT1On)
+	cfg.Budget = 0
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.BuildTime <= 0 || res.SelectTime != 0 || res.ApplyTime != 0 {
+		t.Errorf("budget 0: build/select/apply = %v/%v/%v", res.BuildTime, res.SelectTime, res.ApplyTime)
 	}
 }

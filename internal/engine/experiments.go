@@ -240,15 +240,15 @@ func (o ExpOptions) config(alg string) (Config, error) {
 	if err != nil {
 		return Config{}, err
 	}
-	m, err := uncertainty.New(o.Measure)
-	if err != nil {
+	// Validate the measure name up front, so a typo fails before any run.
+	if _, err := uncertainty.New(o.Measure); err != nil {
 		return Config{}, err
 	}
 	return Config{
 		Dists:     ds,
 		K:         o.K,
 		Algorithm: alg,
-		Measure:   m,
+		Measure:   o.Measure,
 		RoundSize: o.RoundSize,
 		Build:     tpo.BuildOptions{GridSize: o.GridSize},
 		// Hypothetical-answer branches below this probability cannot move
@@ -443,12 +443,8 @@ func NonUniform(o ExpOptions) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		m, err := uncertainty.New(o.Measure)
-		if err != nil {
-			return nil, err
-		}
 		cfg := Config{
-			Dists: ds, K: o.K, Algorithm: AlgT1On, Measure: m,
+			Dists: ds, K: o.K, Algorithm: AlgT1On, Measure: o.Measure,
 			Build: tpo.BuildOptions{GridSize: o.GridSize}, Seed: o.Seed,
 		}
 		for _, b := range o.Budgets {

@@ -1,6 +1,7 @@
 package selection
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
@@ -10,16 +11,16 @@ import (
 	"crowdtopk/internal/uncertainty"
 )
 
-// This file is the flat, index-based residual engine. The expected-residual
-// sweep R_Q(T_K) drives every selection strategy, and the slice-of-LeafSet
-// formulation re-materialized whole leaf sets — cloning paths, reallocating
-// weight vectors, and normalizing a copy per measure evaluation — for every
-// candidate question × partition cell. Here the leaf set is snapshotted once
-// into an Arena (paths flattened into one backing array, weights in one
-// vector), every candidate question's leaf classification is precomputed
-// into a ConsistencyIndex, and partition cells are index/weight views over
-// the shared arena, so splitting is a branch-light linear pass with zero
-// path copies.
+// This file is the flat, index-based residual engine — the package's only
+// selection path. The expected-residual sweep R_Q(T_K) drives every
+// selection strategy; splitting whole leaf sets would re-materialize them —
+// cloning paths, reallocating weight vectors, and normalizing a copy per
+// measure evaluation — for every candidate question × partition cell.
+// Instead the leaf set is snapshotted once into an Arena (paths flattened
+// into one backing array, weights in one vector), every candidate
+// question's leaf classification is precomputed into a ConsistencyIndex,
+// and partition cells are index/weight views over the shared arena, so
+// splitting is a branch-light linear pass with zero path copies.
 
 // Arena is a cache-friendly snapshot of a leaf set. Partition cells
 // reference leaves by index into it. Paths, dense ids, prefix groups and
@@ -56,14 +57,15 @@ type Arena struct {
 	rowPr      []int32 // scratch: ref positions per probe slot (under rowMu)
 }
 
-// NewArena snapshots ls. ok is false when the leaf paths are not uniformly
-// of length ls.K — the flat layout requires the rectangular shape every tree
-// leaf set has — in which case callers fall back to the slice-based path.
-func NewArena(ls *tpo.LeafSet) (*Arena, bool) {
+// NewArena snapshots ls. The flat layout needs the rectangular shape every
+// tree leaf set has — all paths of length ls.K. Checkpointed leaf sets are
+// checked for it where they enter the process (tpo.FromLeafSet), so a
+// ragged set here is a programming error and panics.
+func NewArena(ls *tpo.LeafSet) *Arena {
 	n, k := ls.Len(), ls.K
-	for _, p := range ls.Paths {
+	for i, p := range ls.Paths {
 		if len(p) != k {
-			return nil, false
+			panic(fmt.Sprintf("selection: leaf %d has %d entries, want K=%d", i, len(p), k))
 		}
 	}
 	a := &Arena{k: k, n: n}
@@ -89,7 +91,7 @@ func NewArena(ls *tpo.LeafSet) (*Arena, bool) {
 	for i, id := range a.flat {
 		a.dense[i] = a.tidx[id]
 	}
-	return a, true
+	return a
 }
 
 // tupleSet returns the sorted distinct ids in flat — rank.Union semantics
@@ -325,9 +327,9 @@ func (a *Arena) rootCell() *cell {
 }
 
 // splitCell partitions c by a classification row, appending into the yes/no
-// buffers (reset by the caller). It mirrors (*tpo.LeafSet).Split exactly:
-// zero-weight leaves are dropped, undetermined leaves flow into both
-// branches weighted by π, and degenerate π values skip a branch.
+// buffers (reset by the caller): zero-weight leaves are dropped, determined
+// leaves go to the branch their order agrees with, undetermined leaves flow
+// into both branches weighted by π, and degenerate π values skip a branch.
 func splitCell(c *cell, row []byte, pi float64, yi, ni []int32, yw, nw []float64) (yesIdx, noIdx []int32, yesW, noW []float64) {
 	for p, leaf := range c.idx {
 		w := c.w[p]

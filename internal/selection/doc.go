@@ -16,7 +16,10 @@
 // ConsistencyIndex together with per-class aggregates (mass, count,
 // Σ w·log2 w, argmax), and partition cells are index/weight views over the
 // shared arena. Single-question residuals are O(1) per question for U_H and
-// one fused dot pass for U_MPO.
+// one fused dot pass for U_MPO. It is the only evaluation path: every leaf
+// set a tree produces is rectangular (all paths of length K), which is the
+// one shape the arena needs, and checkpointed leaf sets are checked for it
+// when they are turned back into trees.
 //
 // # Live engine
 //
@@ -52,8 +55,8 @@
 // to a from-scratch engine — the cross-check suite in live_test.go pins this
 // for all strategies across interleaved answer sequences.
 //
-// Sessions own a LiveEngine and hand it to strategies via Context.Live;
-// answer application keeps it in sync through engine.ApplyAnswerLive. ORA
+// Sessions own a LiveEngine and hand it to strategies via Context.Live; the
+// session's answer path keeps it in sync through LiveEngine.Sync. ORA
 // measures bypass the live path (their rank-aggregation input enumerates
 // every view leaf, so tombstones are not transparent to them). Process-wide
 // activity counters are exported through LiveEngineStats for the serving

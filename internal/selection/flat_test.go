@@ -10,15 +10,13 @@ import (
 	"crowdtopk/internal/uncertainty"
 )
 
-// The flat residual engine must reproduce the slice-of-LeafSet reference
-// semantics exactly (within tieEpsilon): these tests drive both paths over
-// seeded random trees for every measure and every strategy.
+// The flat residual engine must reproduce the reference semantics of
+// partition_test.go's recursion exactly (within tieEpsilon): these tests
+// drive both over seeded random trees for every measure and every strategy.
 
-// refExpectedResidual is the pre-engine implementation: partition the leaf
-// set with the exported LeafSet helpers and fold measure values of
-// normalized copies.
+// refExpectedResidual is R_qs by the reference recursion.
 func refExpectedResidual(ls *tpo.LeafSet, qs []tpo.Question, ctx *Context) float64 {
-	return residualOfCells(Partition(ls, qs, ctx), ctx)
+	return referenceResidual(ls, qs, ctx, 1)
 }
 
 func allMeasures() []uncertainty.Measure {
@@ -38,9 +36,6 @@ func TestFlatEngineMatchesReferenceResiduals(t *testing.T) {
 		for _, m := range allMeasures() {
 			ctx := ctxFor(tree, m)
 			e := NewResidualEngine(ls, ctx)
-			if e.arena == nil {
-				t.Fatal("tree leaf set did not take the flat path")
-			}
 			qs, rs := e.QuestionResiduals()
 			want := ls.RelevantQuestions()
 			if len(qs) != len(want) {
@@ -96,8 +91,8 @@ func TestParallelResidualsMatchSequential(t *testing.T) {
 	}
 }
 
-// referenceTBOff / referenceCOff / referenceT1On are the pre-engine strategy
-// implementations, expressed with the legacy slice-of-LeafSet helpers.
+// referenceTBOff / referenceCOff / referenceT1On are the strategies written
+// directly over the reference recursion.
 func referenceTBOff(ls *tpo.LeafSet, budget int, ctx *Context) []tpo.Question {
 	qs := ls.RelevantQuestions()
 	rs := make([]float64, len(qs))
@@ -120,11 +115,25 @@ func referenceTBOff(ls *tpo.LeafSet, budget int, ctx *Context) []tpo.Question {
 }
 
 func referenceCOff(ls *tpo.LeafSet, budget int, ctx *Context) []tpo.Question {
-	out, err := selectConditionalSlow(ls, budget, ctx)
-	if err != nil {
-		panic(err)
+	qk := ls.RelevantQuestions()
+	var chosen []tpo.Question
+	chosenSet := make(map[tpo.Question]bool)
+	// A positive residual means some answer branch is still unresolved.
+	for len(chosen) < budget && len(chosen) < len(qk) && refExpectedResidual(ls, chosen, ctx) > 0 {
+		bestQ, bestR := tpo.Question{I: -1}, 0.0
+		for _, q := range qk {
+			if chosenSet[q] {
+				continue
+			}
+			r := refExpectedResidual(ls, append(append([]tpo.Question(nil), chosen...), q), ctx)
+			if bestQ.I == -1 || r < bestR-tieEpsilon {
+				bestQ, bestR = q, r
+			}
+		}
+		chosen = append(chosen, bestQ)
+		chosenSet[bestQ] = true
 	}
-	return out
+	return chosen
 }
 
 func referenceT1On(ls *tpo.LeafSet, ctx *Context) (tpo.Question, bool) {
@@ -222,41 +231,6 @@ func TestAStarAndExhaustiveAgreeOnEngine(t *testing.T) {
 	}
 }
 
-// TestFlatEngineRaggedFallback pins the fallback: a hand-built leaf set with
-// uneven path lengths cannot take the arena layout but must still produce
-// reference residuals.
-func TestFlatEngineRaggedFallback(t *testing.T) {
-	ls := &tpo.LeafSet{
-		K: 3,
-		Paths: []rank.Ordering{
-			{0, 1, 2},
-			{1, 0}, // ragged on purpose
-			{2, 1, 0},
-		},
-		W: []float64{0.5, 0.3, 0.2},
-	}
-	ctx := &Context{
-		Measure:  uncertainty.Entropy{},
-		PairProb: func(i, j int) float64 { return 0.5 },
-	}
-	e := NewResidualEngine(ls, ctx)
-	if e.arena != nil {
-		t.Fatal("ragged leaf set unexpectedly took the flat path")
-	}
-	q := tpo.NewQuestion(0, 2)
-	got := e.ExpectedResidual([]tpo.Question{q})
-	want := refExpectedResidual(ls, []tpo.Question{q}, ctx)
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("fallback residual %g, reference %g", got, want)
-	}
-	qs, rs := e.QuestionResiduals()
-	for i, rq := range qs {
-		if ref := refExpectedResidual(ls, qs[i:i+1], ctx); math.Abs(rs[i]-ref) > 1e-12 {
-			t.Fatalf("fallback R_%v = %g, reference %g", rq, rs[i], ref)
-		}
-	}
-}
-
 // TestFillDistRowMatchesTopKDist pins the specialized Kendall row builder
 // against the generic distancer: for the default (dyadic) penalty every
 // distance is a sum of exactly representable terms, so the floats must be
@@ -267,9 +241,6 @@ func TestFillDistRowMatchesTopKDist(t *testing.T) {
 		ls := tree.LeafSet()
 		ctx := ctxFor(tree, uncertainty.MPO{})
 		e := NewResidualEngine(ls, ctx)
-		if e.arena == nil {
-			t.Fatal("no arena")
-		}
 		rng := rand.New(rand.NewSource(seed))
 		for trial := 0; trial < 4; trial++ {
 			ref := int32(rng.Intn(e.arena.n))
@@ -290,10 +261,7 @@ func TestFillDistRowMatchesTopKDist(t *testing.T) {
 func TestArenaPrefixGroups(t *testing.T) {
 	tree := buildTestTree(t, 9, 6, 3)
 	ls := tree.LeafSet()
-	a, ok := NewArena(ls)
-	if !ok {
-		t.Fatal("no arena")
-	}
+	a := NewArena(ls)
 	a.groupsOnce.Do(a.buildGroups)
 	for l := 1; l <= a.k; l++ {
 		seen := map[int32]string{}

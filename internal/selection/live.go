@@ -314,18 +314,13 @@ func (l *LiveEngine) applyLocked(ctx context.Context, fresh *tpo.LeafSet, pruneO
 			mApplyPhase.With("compact").Observe(time.Since(compactStart).Seconds())
 		}()
 		if !l.compactLocked(fresh) {
-			ne := NewResidualEngine(fresh, e.ctx)
-			if ne.arena == nil {
-				l.drop()
-				return
-			}
-			l.eng = ne
+			l.eng = NewResidualEngine(fresh, e.ctx)
 			l.dead, l.sinceResync = 0, 0
 			l.rankValid = false
 		}
-		// Either way the engine may now retain the snapshot's backing
-		// arrays (ne via NewArena aliasing, compactLocked via ls), so
-		// detach the reusable buffer — the next Sync allocates a new one.
+		// A rebuilt engine aliases the snapshot's backing arrays (NewArena
+		// keeps tree snapshots zero-copy), so detach the reusable buffer —
+		// the next Sync allocates a new one.
 		if fresh == l.snap {
 			l.snap = nil
 		}
@@ -419,7 +414,7 @@ func (l *LiveEngine) compactLocked(fresh *tpo.LeafSet) bool {
 		}
 		l.rank = out
 	}
-	l.eng = &ResidualEngine{ctx: e.ctx, ls: fresh, arena: na, index: ci, rootMass: numeric.Sum(na.w)}
+	l.eng = &ResidualEngine{ctx: e.ctx, arena: na, index: ci, rootMass: numeric.Sum(na.w)}
 	l.dead = 0
 	return true
 }
@@ -679,7 +674,7 @@ func tombstoneSafe(m uncertainty.Measure) bool {
 // tree the updates tracked, so steady state is a cheap O(alive) confirm.
 func (e *ResidualEngine) matches(ls *tpo.LeafSet) bool {
 	a := e.arena
-	if a == nil || ls.K != a.k {
+	if ls.K != a.k {
 		return false
 	}
 	j, m := 0, ls.Len()
@@ -722,16 +717,11 @@ func (l *LiveEngine) engineFor(ls *tpo.LeafSet, ctx *Context) *ResidualEngine {
 			ctx.pim = e.ctx.pim
 		}
 		e.ctx = ctx
-		e.ls = ls
 		liveReuses.Add(1)
 		return e
 	}
 	e := NewResidualEngine(ls, ctx)
 	liveRebuilds.Add(1)
-	if e.arena == nil {
-		l.drop()
-		return e
-	}
 	if l.eng != nil {
 		liveInvalidations.Add(1)
 	}

@@ -224,76 +224,6 @@ func ExpectedResidual(ls *tpo.LeafSet, qs []tpo.Question, ctx *Context) float64 
 	return engineFor(ls, ctx).ExpectedResidual(qs)
 }
 
-// Partition returns the *active* cells of the leaf-set partition induced by
-// asking every question in qs: one (unnormalized) leaf multiset per
-// distinguishable answer combination, with the cell mass equal to that
-// combination's probability. Cells already resolved to a single ordering and
-// cells below BranchEpsilon are dropped — their residual uncertainty is zero
-// (respectively negligible) under every measure, now and after any further
-// question, so ExpectedResidual(ls, qs) == Σ_cells mass(cell)·U(cell
-// normalized) holds exactly over the returned cells.
-//
-// Conditional strategies evaluate R_{qs+q} for many candidates q by
-// splitting these cells once per candidate instead of recursing from scratch.
-func Partition(ls *tpo.LeafSet, qs []tpo.Question, ctx *Context) []*tpo.LeafSet {
-	eps := ctx.branchEpsilon()
-	cells := make([]*tpo.LeafSet, 0, 2)
-	if ls.Len() > 1 && ls.Mass() >= eps {
-		cells = append(cells, ls)
-	}
-	for _, q := range qs {
-		cells = SplitCells(cells, q, ctx)
-	}
-	return cells
-}
-
-// SplitCells advances a partition by one question, dropping resolved and
-// negligible cells (see Partition).
-func SplitCells(cells []*tpo.LeafSet, q tpo.Question, ctx *Context) []*tpo.LeafSet {
-	eps := ctx.branchEpsilon()
-	pi := ctx.pairProb(q.I, q.J)
-	next := make([]*tpo.LeafSet, 0, 2*len(cells))
-	for _, cell := range cells {
-		yes, no := cell.Split(q, pi)
-		if yes.Len() > 1 && yes.Mass() >= eps {
-			next = append(next, yes)
-		}
-		if no.Len() > 1 && no.Mass() >= eps {
-			next = append(next, no)
-		}
-	}
-	return next
-}
-
-// residualOfCells folds a partition of active cells into the expected
-// residual uncertainty.
-func residualOfCells(cells []*tpo.LeafSet, ctx *Context) float64 {
-	var total numeric.KahanSum
-	for _, c := range cells {
-		total.Add(c.Mass() * ctx.Measure.Value(c.Normalized()))
-	}
-	return total.Sum()
-}
-
-// splitResidual returns the expected residual uncertainty after extending
-// the partition `cells` with one more question — the inner loop of the
-// conditional strategies.
-func splitResidual(cells []*tpo.LeafSet, q tpo.Question, ctx *Context) float64 {
-	eps := ctx.branchEpsilon()
-	pi := ctx.pairProb(q.I, q.J)
-	var total numeric.KahanSum
-	for _, cell := range cells {
-		yes, no := cell.Split(q, pi)
-		if m := yes.Mass(); yes.Len() > 1 && m >= eps {
-			total.Add(m * ctx.Measure.Value(yes.Normalized()))
-		}
-		if m := no.Mass(); no.Len() > 1 && m >= eps {
-			total.Add(m * ctx.Measure.Value(no.Normalized()))
-		}
-	}
-	return total.Sum()
-}
-
 // QuestionResiduals computes R_q for every relevant question of the leaf
 // set, returning the questions and their expected residual uncertainties in
 // matching order. This is the workhorse of TB-off and T1-on. Candidates are
@@ -305,15 +235,12 @@ func QuestionResiduals(ls *tpo.LeafSet, ctx *Context) ([]tpo.Question, []float64
 // ResidualEngine evaluates expected residuals over one leaf-set snapshot:
 // the Arena/ConsistencyIndex machinery of cellset.go behind an API shaped
 // like the package-level functions. Strategies build one engine per
-// selection step and evaluate every candidate against it. The engine is
-// safe for the package's own parallel sweeps (per-worker scratch); exported
-// methods may be called from one goroutine at a time.
+// selection step (or reuse a session's live one) and evaluate every
+// candidate against it. The engine is safe for the package's own parallel
+// sweeps (per-worker scratch); exported methods may be called from one
+// goroutine at a time.
 type ResidualEngine struct {
-	ctx *Context
-	ls  *tpo.LeafSet
-
-	// Flat path; nil arena means the leaf set is ragged (hand-built) and
-	// every method falls back to the slice-of-LeafSet implementation.
+	ctx   *Context
 	arena *Arena
 	index *ConsistencyIndex
 
@@ -332,22 +259,12 @@ type extraRow struct {
 
 // NewResidualEngine snapshots ls for residual evaluation under ctx.
 func NewResidualEngine(ls *tpo.LeafSet, ctx *Context) *ResidualEngine {
-	e := &ResidualEngine{ctx: ctx, ls: ls}
-	if a, ok := NewArena(ls); ok {
-		e.arena = a
-		e.index = NewConsistencyIndex(a, ctx)
-		e.rootMass = numeric.Sum(a.w)
-	}
-	return e
+	a := NewArena(ls)
+	return &ResidualEngine{ctx: ctx, arena: a, index: NewConsistencyIndex(a, ctx), rootMass: numeric.Sum(a.w)}
 }
 
 // Questions returns Q_K for the snapshot, lexicographically ordered.
 func (e *ResidualEngine) Questions() []tpo.Question {
-	if e.arena == nil {
-		qs := e.ls.RelevantQuestions()
-		sortQuestions(qs)
-		return qs
-	}
 	return e.index.Relevant()
 }
 
@@ -400,13 +317,6 @@ func (e *ResidualEngine) Residuals(qs []tpo.Question) []float64 {
 	}
 	workers, release := e.ctx.sweepWorkers(len(qs))
 	defer release()
-	if e.arena == nil {
-		par.For(len(qs), workers, func(_, i int) error {
-			rs[i] = residualOfCells(Partition(e.ls, qs[i:i+1], e.ctx), e.ctx)
-			return nil
-		})
-		return rs
-	}
 	scratch := e.scratchFor(workers)
 	par.For(len(qs), workers, func(w, i int) error {
 		rs[i] = e.rootResidual(qs[i], scratch[w])
@@ -575,15 +485,20 @@ func rootIndices(a *Arena, s *evalScratch) []int32 {
 // ExpectedResidual computes R_qs over the snapshot — the engine form of the
 // package-level function.
 func (e *ResidualEngine) ExpectedResidual(qs []tpo.Question) float64 {
-	if e.arena == nil {
-		return residualOfCells(Partition(e.ls, qs, e.ctx), e.ctx)
-	}
-	return e.residualOfCells(e.partition(qs))
+	return e.foldCells(e.cellsAfter(qs))
 }
 
-// partition mirrors Partition over arena cells: the active cells after
-// asking every question in qs.
-func (e *ResidualEngine) partition(qs []tpo.Question) []*cell {
+// cellsAfter returns the *active* cells of the leaf-set partition induced by
+// asking every question in qs: one unnormalized arena cell per
+// distinguishable answer combination, with the cell mass equal to that
+// combination's probability. Cells already resolved to a single ordering and
+// cells below BranchEpsilon are dropped — their residual uncertainty is zero
+// (respectively negligible) under every measure, now and after any further
+// question, so R_qs == Σ_cells mass(cell)·U(cell normalized) holds exactly
+// over the returned cells. Conditional strategies evaluate R_{qs+q} for many
+// candidates q by splitting these cells once per candidate instead of
+// recursing from scratch.
+func (e *ResidualEngine) cellsAfter(qs []tpo.Question) []*cell {
 	eps := e.ctx.branchEpsilon()
 	cells := make([]*cell, 0, 2)
 	if e.arena.n > 1 {
@@ -593,13 +508,14 @@ func (e *ResidualEngine) partition(qs []tpo.Question) []*cell {
 		}
 	}
 	for _, q := range qs {
-		cells = e.splitCells(cells, q)
+		cells = e.refine(cells, q)
 	}
 	return cells
 }
 
-// splitCells mirrors SplitCells over arena cells.
-func (e *ResidualEngine) splitCells(cells []*cell, q tpo.Question) []*cell {
+// refine advances a partition by one question, dropping resolved and
+// negligible cells (see cellsAfter).
+func (e *ResidualEngine) refine(cells []*cell, q tpo.Question) []*cell {
 	eps := e.ctx.branchEpsilon()
 	row, pi := e.rowFor(q)
 	next := make([]*cell, 0, 2*len(cells))
@@ -619,8 +535,8 @@ func (e *ResidualEngine) splitCells(cells []*cell, q tpo.Question) []*cell {
 	return next
 }
 
-// residualOfCells folds arena cells into the expected residual uncertainty.
-func (e *ResidualEngine) residualOfCells(cells []*cell) float64 {
+// foldCells folds arena cells into the expected residual uncertainty.
+func (e *ResidualEngine) foldCells(cells []*cell) float64 {
 	s := e.scratchFor(1)[0]
 	var total numeric.KahanSum
 	for _, c := range cells {
@@ -629,10 +545,10 @@ func (e *ResidualEngine) residualOfCells(cells []*cell) float64 {
 	return total.Sum()
 }
 
-// splitResidual mirrors splitResidual over arena cells, splitting into the
-// worker's buffers: the expected residual after extending the partition with
-// one more question.
-func (e *ResidualEngine) splitResidual(cells []*cell, q tpo.Question, s *evalScratch) float64 {
+// refinedResidual returns the expected residual after extending the partition
+// `cells` with one more question — the inner loop of the conditional
+// strategies — splitting into the worker's buffers.
+func (e *ResidualEngine) refinedResidual(cells []*cell, q tpo.Question, s *evalScratch) float64 {
 	eps := e.ctx.branchEpsilon()
 	row, pi := e.rowFor(q)
 	var total numeric.KahanSum
@@ -654,10 +570,10 @@ func (e *ResidualEngine) splitResidual(cells []*cell, q tpo.Question, s *evalScr
 	return total.Sum()
 }
 
-// splitResiduals evaluates splitResidual for every candidate in qs in
+// refinedResiduals evaluates refinedResidual for every candidate in qs in
 // parallel, skipping indices where skip reports true (already-chosen
 // questions in C-off); skipped slots return NaN.
-func (e *ResidualEngine) splitResiduals(cells []*cell, qs []tpo.Question, skip func(tpo.Question) bool) []float64 {
+func (e *ResidualEngine) refinedResiduals(cells []*cell, qs []tpo.Question, skip func(tpo.Question) bool) []float64 {
 	rs := make([]float64, len(qs))
 	workers, release := e.ctx.sweepWorkers(len(qs))
 	defer release()
@@ -667,7 +583,7 @@ func (e *ResidualEngine) splitResiduals(cells []*cell, qs []tpo.Question, skip f
 			rs[i] = math.NaN()
 			return nil
 		}
-		rs[i] = e.splitResidual(cells, qs[i], scratch[w])
+		rs[i] = e.refinedResidual(cells, qs[i], scratch[w])
 		return nil
 	})
 	return rs

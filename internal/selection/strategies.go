@@ -166,15 +166,12 @@ func (COff) SelectBatch(ls *tpo.LeafSet, budget int, ctx *Context) ([]tpo.Questi
 		return nil, err
 	}
 	e := engineFor(ls, ctx)
-	if e.arena == nil {
-		return selectConditionalSlow(ls, budget, ctx)
-	}
 	qk := e.Questions()
-	cells := e.partition(nil)
+	cells := e.cellsAfter(nil)
 	var chosen []tpo.Question
 	chosenSet := make(map[tpo.Question]bool)
 	for len(chosen) < budget && len(chosen) < len(qk) && len(cells) > 0 {
-		rs := e.splitResiduals(cells, qk, func(q tpo.Question) bool { return chosenSet[q] })
+		rs := e.refinedResiduals(cells, qk, func(q tpo.Question) bool { return chosenSet[q] })
 		bestQ := tpo.Question{I: -1}
 		bestR := 0.0
 		for i, q := range qk {
@@ -190,37 +187,7 @@ func (COff) SelectBatch(ls *tpo.LeafSet, budget int, ctx *Context) ([]tpo.Questi
 		}
 		chosen = append(chosen, bestQ)
 		chosenSet[bestQ] = true
-		cells = e.splitCells(cells, bestQ)
-	}
-	return chosen, nil
-}
-
-// selectConditionalSlow is C-off over the slice-of-LeafSet adapter, used for
-// ragged (hand-built) leaf sets the arena cannot represent.
-func selectConditionalSlow(ls *tpo.LeafSet, budget int, ctx *Context) ([]tpo.Question, error) {
-	qk := ls.RelevantQuestions()
-	sortQuestions(qk)
-	cells := Partition(ls, nil, ctx)
-	var chosen []tpo.Question
-	chosenSet := make(map[tpo.Question]bool)
-	for len(chosen) < budget && len(chosen) < len(qk) && len(cells) > 0 {
-		bestQ := tpo.Question{I: -1}
-		bestR := 0.0
-		for _, q := range qk {
-			if chosenSet[q] {
-				continue
-			}
-			r := splitResidual(cells, q, ctx)
-			if bestQ.I == -1 || r < bestR-tieEpsilon {
-				bestQ, bestR = q, r
-			}
-		}
-		if bestQ.I == -1 {
-			break
-		}
-		chosen = append(chosen, bestQ)
-		chosenSet[bestQ] = true
-		cells = SplitCells(cells, bestQ, ctx)
+		cells = e.refine(cells, bestQ)
 	}
 	return chosen, nil
 }

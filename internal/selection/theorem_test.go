@@ -33,13 +33,13 @@ func TestTheorem31NoDeterministicAlgorithmIsOptimal(t *testing.T) {
 		}
 		best := 1 << 20
 		for _, q := range cur.RelevantQuestions() {
-			yes, no := cur.Split(q, 0.5)
+			yes, no := splitLeafSet(cur, q, 0.5)
 			worst := 0
 			for _, side := range []*tpo.LeafSet{yes, no} {
-				if side.Mass() == 0 {
+				if mass(side) == 0 {
 					continue
 				}
-				if n := solve(side.Normalized()); n > worst {
+				if n := solve(normalized(side)); n > worst {
 					worst = n
 				}
 			}
@@ -58,13 +58,13 @@ func TestTheorem31NoDeterministicAlgorithmIsOptimal(t *testing.T) {
 	}
 	var outcomes []outcome
 	for _, q := range ls.RelevantQuestions() {
-		yes, no := ls.Split(q, 0.5)
+		yes, no := splitLeafSet(ls, q, 0.5)
 		worst := 0
 		for _, side := range []*tpo.LeafSet{yes, no} {
-			if side.Mass() == 0 {
+			if mass(side) == 0 {
 				continue
 			}
-			if n := solve(side.Normalized()); n > worst {
+			if n := solve(normalized(side)); n > worst {
 				worst = n
 			}
 		}
@@ -92,8 +92,8 @@ func TestTheorem31NoDeterministicAlgorithmIsOptimal(t *testing.T) {
 	}
 	oneShotExists := false
 	for _, q := range ls.RelevantQuestions() {
-		yes, no := ls.Split(q, 0.5)
-		if (yes.Len() == 1 && yes.Mass() > 0) || (no.Len() == 1 && no.Mass() > 0) {
+		yes, no := splitLeafSet(ls, q, 0.5)
+		if (yes.Len() == 1 && mass(yes) > 0) || (no.Len() == 1 && mass(no) > 0) {
 			oneShotExists = true
 		}
 	}

@@ -182,6 +182,10 @@ func TestCrashRecoveryMatchesUninterrupted(t *testing.T) {
 			}, &info); code != http.StatusCreated {
 				t.Fatalf("create: status %d", code)
 			}
+			// Create only queues the initial snapshot; let it land so the
+			// answers below go to the WAL on top of it (a late first write
+			// would be a full snapshot that already holds them).
+			waitDurable(t, ts1)
 			cr, _, err := crowdtopk.SimulatedCrowd(ds, 1, 1, seed)
 			if err != nil {
 				t.Fatal(err)
@@ -521,6 +525,9 @@ func TestStatsDurabilityCounters(t *testing.T) {
 		}, &info); code != http.StatusCreated {
 			t.Fatalf("create: status %d", code)
 		}
+		// As in TestCrashRecoveryMatchesUninterrupted: let the queued
+		// initial snapshot land first, so the answers are WAL appends.
+		waitDurable(t, ts)
 		cr, _, err := crowdtopk.SimulatedCrowd(ds, 1, 1, 3)
 		if err != nil {
 			t.Fatal(err)

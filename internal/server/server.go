@@ -42,7 +42,6 @@ import (
 	"strconv"
 
 	"crowdtopk/internal/dataset"
-	"crowdtopk/internal/engine"
 	"crowdtopk/internal/obs"
 	"crowdtopk/internal/service"
 	"crowdtopk/internal/session"
@@ -348,7 +347,7 @@ func statusFor(err error) int {
 	case errors.Is(err, service.ErrBadInput),
 		errors.Is(err, session.ErrInvalidConfig),
 		errors.Is(err, session.ErrInvalidCheckpoint),
-		errors.Is(err, engine.ErrUnknownAlgorithm),
+		errors.Is(err, session.ErrUnknownAlgorithm),
 		errors.As(err, &mismatch),
 		errors.Is(err, tpo.ErrInvalidInput),
 		errors.Is(err, tpo.ErrTooLarge):

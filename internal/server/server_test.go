@@ -352,6 +352,12 @@ func TestServerErrorPaths(t *testing.T) {
 	}, nil); code != http.StatusBadRequest {
 		t.Errorf("bad algorithm: status %d, want 400", code)
 	}
+	// A negative incr round size is rejected before any tree is built.
+	if code := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/sessions", map[string]any{
+		"tuples": specs, "k": 2, "budget": 2, "algorithm": "incr", "round_size": -1,
+	}, nil); code != http.StatusBadRequest {
+		t.Errorf("negative round_size: status %d, want 400", code)
+	}
 
 	// Create a real session, then answer a question that was never issued →
 	// 409 conflict.
@@ -397,9 +403,11 @@ func TestServerErrorPaths(t *testing.T) {
 	}
 
 	// Structurally inconsistent checkpoints are client errors (400), not
-	// 500s: an unknown state, an answer count that contradicts asked, and
-	// an absurd RNG position (which must also be rejected without replaying
-	// it — a crafted value near 2^64 would otherwise spin the CPU).
+	// 500s: an unknown state, an answer count that contradicts asked, an
+	// absurd RNG position (which must also be rejected without replaying
+	// it — a crafted value near 2^64 would otherwise spin the CPU), and an
+	// incr configuration with a negative round size that restore would
+	// have to replan with.
 	var env map[string]any
 	if err := json.Unmarshal(raw, &env); err != nil {
 		t.Fatal(err)
@@ -408,6 +416,15 @@ func TestServerErrorPaths(t *testing.T) {
 		"unknown state":  func(e map[string]any) { e["state"] = "bogus" },
 		"asked mismatch": func(e map[string]any) { e["asked"] = 7 },
 		"huge rng_draws": func(e map[string]any) { e["rng_draws"] = float64(1 << 40) },
+		"negative round_size": func(e map[string]any) {
+			cfg := map[string]any{}
+			for k, v := range e["config"].(map[string]any) {
+				cfg[k] = v
+			}
+			cfg["algorithm"], cfg["round_size"] = "incr", -1
+			e["config"] = cfg
+			delete(e, "pending")
+		},
 	} {
 		e := map[string]any{}
 		for k, v := range env {

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"testing"
 
-	"crowdtopk/internal/engine"
 	"crowdtopk/internal/service"
 	"crowdtopk/internal/session"
 	"crowdtopk/internal/tpo"
@@ -30,7 +29,7 @@ func TestStatusFor(t *testing.T) {
 		{"bad input", service.ErrBadInput, http.StatusBadRequest},
 		{"invalid config", session.ErrInvalidConfig, http.StatusBadRequest},
 		{"invalid checkpoint", session.ErrInvalidCheckpoint, http.StatusBadRequest},
-		{"unknown algorithm", engine.ErrUnknownAlgorithm, http.StatusBadRequest},
+		{"unknown algorithm", session.ErrUnknownAlgorithm, http.StatusBadRequest},
 		{"tpo invalid input", tpo.ErrInvalidInput, http.StatusBadRequest},
 		{"tpo too large", tpo.ErrTooLarge, http.StatusBadRequest},
 		{"checkpoint mismatch", &tpo.MismatchError{Field: "schema", Want: "1", Got: "9"}, http.StatusBadRequest},

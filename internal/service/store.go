@@ -215,7 +215,10 @@ func (s *store) add(sess *session.Session) (string, error) {
 	}
 	s.watch(id, sess)
 	if s.bg != nil {
-		s.bg.enqueue(id) // initial snapshot: durable before the first answer
+		// Queue the initial snapshot. This only enqueues it: the create is
+		// acknowledged before the write, and answers accepted before the
+		// persister runs land in that first snapshot instead of the WAL.
+		s.bg.enqueue(id)
 	}
 	return id, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 
@@ -92,6 +93,9 @@ type envelope struct {
 func (s *Session) Checkpoint(w io.Writer) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.digest == "" {
+		return errors.New("session: checkpoint: transient session")
+	}
 	specs, err := dataset.SpecsOf(s.cfg.Dists)
 	if err != nil {
 		return fmt.Errorf("session: checkpoint: %w", err)

@@ -5,21 +5,20 @@ import (
 	"math/rand"
 	"testing"
 
-	"crowdtopk/internal/engine"
 	"crowdtopk/internal/selection"
 	"crowdtopk/internal/tpo"
 	"crowdtopk/internal/uncertainty"
 )
 
 // These tests pin that the session's live-engine path stays in lockstep with
-// the raw engine transitions at every step — not just in the final result —
+// the raw answer transitions at every step — not just in the final result —
 // under the updates that stress the in-place arena: noisy reweighting
 // (including answers against the current evidence) and trusted prunes with
 // absorbed contradictions.
 
 // TestNoisyLockstepEngineVsSession drives a noisy-reliability T1-on session
 // with seeded random answers while mirroring every transition through
-// engine.ApplyAnswer on a twin tree with a stateless selection context. The
+// applyAnswer on a twin tree with a stateless selection context. The
 // session (live arena, reweighted in place) and the mirror (fresh engine per
 // step) must ask the same question at every step and end in the same belief.
 func TestNoisyLockstepEngineVsSession(t *testing.T) {
@@ -27,7 +26,7 @@ func TestNoisyLockstepEngineVsSession(t *testing.T) {
 		ds := testDists(t, 6, 40+seed)
 		const k, budget = 3, 10
 		const rel = 0.85
-		s, err := New(Config{Dists: ds, K: k, Budget: budget, Algorithm: engine.AlgT1On, Measure: "H", Reliability: rel, Seed: seed})
+		s, err := New(Config{Dists: ds, K: k, Budget: budget, Algorithm: AlgT1On, Measure: "H", Reliability: rel, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +52,7 @@ func TestNoisyLockstepEngineVsSession(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !ok || qs[0] != wantQ {
-				t.Fatalf("seed %d step %d: session asks %v, engine path asks %v (ok=%v)", seed, step, qs[0], wantQ, ok)
+				t.Fatalf("seed %d step %d: session asks %v, stateless path asks %v (ok=%v)", seed, step, qs[0], wantQ, ok)
 			}
 			// Random side: roughly a third of the answers go against the
 			// currently heavier branch, so the Bayesian update re-raises
@@ -62,7 +61,7 @@ func TestNoisyLockstepEngineVsSession(t *testing.T) {
 			if err := s.SubmitAnswer(a); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := engine.ApplyAnswer(mirror, a, rel); err != nil {
+			if _, err := applyAnswer(mirror, a, rel); err != nil {
 				t.Fatal(err)
 			}
 			if step > 3*budget {
@@ -93,14 +92,14 @@ func TestNoisyLockstepEngineVsSession(t *testing.T) {
 // tombstoned arena: an offline TB-off batch is committed up front, random
 // trusted answers prune as they land, and later questions in the batch can
 // contradict every remaining ordering. The session must absorb exactly the
-// contradictions the engine transition reports and keep its belief identical
+// contradictions the answer transition reports and keep its belief identical
 // to the mirrored tree.
 func TestTrustedContradictionLockstep(t *testing.T) {
 	sawContradiction := false
 	for seed := int64(0); seed < 6; seed++ {
 		ds := testDists(t, 6, 60+seed)
 		const k, budget = 3, 8
-		s, err := New(Config{Dists: ds, K: k, Budget: budget, Algorithm: engine.AlgTBOff, Measure: "H", Seed: seed})
+		s, err := New(Config{Dists: ds, K: k, Budget: budget, Algorithm: AlgTBOff, Measure: "H", Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +118,7 @@ func TestTrustedContradictionLockstep(t *testing.T) {
 			if err := s.SubmitAnswer(a); err != nil {
 				t.Fatal(err)
 			}
-			contradicted, err := engine.ApplyAnswer(mirror, a, 1)
+			contradicted, err := applyAnswer(mirror, a, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,17 +1,14 @@
-// Package session inverts the engine's synchronous crowd callback into a
-// long-lived, resumable query state machine. Where engine.Run drives a
-// Crowd's Ask method and blocks until the budget is spent, a Session hands
-// out the next best questions (NextQuestions), absorbs answers whenever they
-// arrive (SubmitAnswer) — minutes or hours later, in any order within a
-// round — and reports the current top-K belief at any time (Result). The
-// whole session round-trips through a versioned JSON checkpoint
-// (Checkpoint/Restore), so a crashed or redeployed server resumes mid-query
-// instead of re-asking the crowd.
+// Package session is the protocol's query driver: a long-lived, resumable
+// state machine that hands out the next best questions (NextQuestions),
+// absorbs answers whenever they arrive (SubmitAnswer) — minutes or hours
+// later, in any order within a round — and reports the current top-K belief
+// at any time (Result). The whole session round-trips through a versioned
+// JSON checkpoint (Checkpoint/Restore), so a crashed or redeployed server
+// resumes mid-query instead of re-asking the crowd.
 //
-// Both this package and the batch runner consume the transition code
-// extracted into internal/engine (ApplyAnswer, the strategy factories,
-// PlanIncrRound), so the served protocol and the experiment protocol cannot
-// drift.
+// It is the only question loop in the repository: the serving stack wraps
+// it, and engine.Run drives one against a simulated crowd for every
+// experiment, so the figures come from the code that serves traffic.
 //
 // Lifecycle:
 //
@@ -33,7 +30,6 @@ import (
 
 	"crowdtopk/internal/dataset"
 	"crowdtopk/internal/dist"
-	"crowdtopk/internal/engine"
 	"crowdtopk/internal/obs"
 	"crowdtopk/internal/par"
 	"crowdtopk/internal/pcache"
@@ -101,9 +97,8 @@ type Config struct {
 	// accepted. Budget 0 creates an immediately terminal session that
 	// reports the prior belief.
 	K, Budget int
-	// Algorithm selects the question strategy by engine.Alg* name
-	// (default T1-on, the paper's best cost/quality tradeoff for
-	// interactive use).
+	// Algorithm selects the question strategy by Alg* name (default T1-on,
+	// the paper's best cost/quality tradeoff for interactive use).
 	Algorithm string
 	// Measure names the uncertainty measure (default MPO).
 	Measure string
@@ -113,10 +108,20 @@ type Config struct {
 	Reliability float64
 	// RoundSize is the incr algorithm's questions per round (default 5).
 	RoundSize int
+	// BranchEpsilon tunes the expected-residual recursion of every
+	// selection sweep (0 selects selection.DefaultBranchEpsilon).
+	// Checkpoints do not carry it: only in-process drivers (engine.Run)
+	// set it.
+	BranchEpsilon float64
 	// Build tunes TPO construction.
 	Build tpo.BuildOptions
 	// Seed drives the random baselines' question shuffles.
 	Seed int64
+	// RNGDraws starts the Seed stream this many draws in. A driver that
+	// drew from the head of the stream itself — engine.Run samples its
+	// simulated world there — hands the baselines the rest, exactly as one
+	// shared generator would. Checkpoints record the absolute position.
+	RNGDraws uint64
 	// Pool optionally shares a process-wide worker budget with other
 	// sessions: tree builds and extensions run with whatever share is
 	// free (results are identical for any share). Nil uses Build.Workers
@@ -131,20 +136,33 @@ type Session struct {
 
 	cfg     Config
 	measure uncertainty.Measure
-	digest  string // content hash of cfg.Dists, stamped into checkpoints
+	digest  string // content hash of cfg.Dists, stamped into checkpoints ("" when transient)
 
 	tree    *tpo.Tree
 	live    *selection.LiveEngine // selection engine kept current across answers
 	online  selection.Online      // non-nil for online algorithms
-	src     *countingSource
+	src     *CountingSource
 	rng     *rand.Rand
 	state   State
 	pending []tpo.Question // issued (or planned) questions awaiting answers
 	answers []tpo.Answer   // accepted answers, in submission order
 	asked   int
 	contra  int
+	times   Timings
 
 	dirtyHook func() // runs (outside the lock) after every accepted answer
+}
+
+// Timings splits a session's wall-clock time by protocol phase.
+type Timings struct {
+	// Build covers tree construction and extension, the π-cache fill
+	// included.
+	Build time.Duration
+	// Select covers the question-selection sweeps.
+	Select time.Duration
+	// Apply covers conditioning the tree (and the live selection engine)
+	// on accepted answers.
+	Apply time.Duration
 }
 
 // New validates the configuration, builds the initial tree and plans the
@@ -166,10 +184,28 @@ func NewCtx(ctx context.Context, cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
 	}
+	return start(ctx, cfg, m, digest)
+}
 
+// NewTransient is New for a session that never leaves this process: its
+// dataset needs no wire form (conditioned Gaussian scores, for one, have
+// none), and Checkpoint reports an error. engine.Run drives one per trial.
+func NewTransient(cfg Config) (*Session, error) {
+	m, err := validate(&cfg)
+	if err != nil {
+		return nil, err
+	}
+	return start(context.Background(), cfg, m, "")
+}
+
+// start builds the initial tree of a validated configuration and plans the
+// first questions.
+func start(ctx context.Context, cfg Config, m uncertainty.Measure, digest string) (*Session, error) {
 	s := &Session{cfg: cfg, measure: m, digest: digest, state: Created, live: selection.NewLiveEngine()}
-	s.initRNG(0)
+	s.initRNG(cfg.RNGDraws)
 	if err := s.withWorkers(func(workers int) error {
+		began := time.Now()
+		defer func() { s.times.Build += time.Since(began) }()
 		// Bulk-fill the pairwise π cache before building: the build and the
 		// first residual sweep of a cold dataset then find every pair hot,
 		// and the fill cost lands in the stats endpoint's prewarm counters
@@ -178,7 +214,7 @@ func NewCtx(ctx context.Context, cfg Config) (*Session, error) {
 		opt := cfg.Build
 		opt.Workers = workers
 		var err error
-		if cfg.Algorithm == engine.AlgIncr {
+		if cfg.Algorithm == AlgIncr {
 			s.tree, err = tpo.StartIncremental(cfg.Dists, cfg.K, opt)
 		} else {
 			s.tree, err = tpo.Build(cfg.Dists, cfg.K, opt)
@@ -209,12 +245,18 @@ func validate(cfg *Config) (uncertainty.Measure, error) {
 	if cfg.Budget < 0 {
 		return nil, fmt.Errorf("%w: negative budget %d", ErrInvalidConfig, cfg.Budget)
 	}
+	if cfg.RoundSize < 0 {
+		return nil, fmt.Errorf("%w: negative round size %d", ErrInvalidConfig, cfg.RoundSize)
+	}
+	if cfg.RNGDraws > maxRNGReplay {
+		return nil, fmt.Errorf("%w: rng draws %d exceed replay bound %d", ErrInvalidConfig, cfg.RNGDraws, uint64(maxRNGReplay))
+	}
 	applyDefaults(cfg)
 	if cfg.Reliability <= 0 || cfg.Reliability > 1 {
 		return nil, fmt.Errorf("%w: reliability %g outside (0, 1]", ErrInvalidConfig, cfg.Reliability)
 	}
-	if !engine.IsOffline(cfg.Algorithm) && !engine.IsOnline(cfg.Algorithm) && cfg.Algorithm != engine.AlgIncr {
-		return nil, fmt.Errorf("%w: %q", engine.ErrUnknownAlgorithm, cfg.Algorithm)
+	if !isOffline(cfg.Algorithm) && !isOnline(cfg.Algorithm) && cfg.Algorithm != AlgIncr {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownAlgorithm, cfg.Algorithm)
 	}
 	m, err := uncertainty.New(cfg.Measure)
 	if err != nil {
@@ -225,7 +267,7 @@ func validate(cfg *Config) (uncertainty.Measure, error) {
 
 func applyDefaults(cfg *Config) {
 	if cfg.Algorithm == "" {
-		cfg.Algorithm = engine.AlgT1On
+		cfg.Algorithm = AlgT1On
 	}
 	if cfg.Measure == "" {
 		cfg.Measure = "MPO"
@@ -241,7 +283,7 @@ func applyDefaults(cfg *Config) {
 // initRNG seeds the counting source and burns `draws` values (checkpoint
 // restore replays the source to the recorded position).
 func (s *Session) initRNG(draws uint64) {
-	s.src = newCountingSource(s.cfg.Seed)
+	s.src = NewCountingSource(s.cfg.Seed)
 	s.src.burn(draws)
 	s.rng = rand.New(s.src)
 }
@@ -264,11 +306,12 @@ func (s *Session) context() *selection.Context {
 	// extensions do through withWorkers; selected questions are identical
 	// for any share.
 	return &selection.Context{
-		Tree:    s.tree,
-		Measure: s.measure,
-		Workers: s.cfg.Build.Workers,
-		Pool:    s.cfg.Pool,
-		Live:    s.live,
+		Tree:          s.tree,
+		Measure:       s.measure,
+		BranchEpsilon: s.cfg.BranchEpsilon,
+		Workers:       s.cfg.Build.Workers,
+		Pool:          s.cfg.Pool,
+		Live:          s.live,
 	}
 }
 
@@ -290,17 +333,19 @@ func (s *Session) plan(ctx context.Context) error {
 	defer sp.End()
 	sp.SetAttr("algorithm", s.cfg.Algorithm)
 	switch {
-	case engine.IsOffline(s.cfg.Algorithm):
+	case isOffline(s.cfg.Algorithm):
 		// Offline strategies commit to the whole batch before any answer
 		// (§III.A); the batch is planned once, right after construction.
 		if s.asked > 0 {
 			return s.finish(ctx) // batch consumed
 		}
-		strat, err := engine.OfflineStrategy(s.cfg.Algorithm, s.rng)
+		strat, err := offlineStrategy(s.cfg.Algorithm, s.rng)
 		if err != nil {
 			return err
 		}
+		began := time.Now()
 		batch, err := strat.SelectBatch(s.tree.LeafSet(), remaining, s.context())
+		s.times.Select += time.Since(began)
 		if err != nil {
 			return err
 		}
@@ -308,15 +353,17 @@ func (s *Session) plan(ctx context.Context) error {
 			return s.finish(ctx)
 		}
 		s.pending = batch
-	case engine.IsOnline(s.cfg.Algorithm):
+	case isOnline(s.cfg.Algorithm):
 		if s.online == nil {
-			strat, err := engine.OnlineStrategy(s.cfg.Algorithm)
+			strat, err := onlineStrategy(s.cfg.Algorithm)
 			if err != nil {
 				return err
 			}
 			s.online = strat
 		}
+		began := time.Now()
 		q, ok, err := s.online.NextQuestion(s.tree.LeafSet(), remaining, s.context())
+		s.times.Select += time.Since(began)
 		if err != nil {
 			return err
 		}
@@ -326,24 +373,25 @@ func (s *Session) plan(ctx context.Context) error {
 		s.pending = []tpo.Question{q}
 	default: // incr
 		var batch []tpo.Question
-		var buildMS, selectMS time.Duration
+		var build, sel time.Duration
 		err := s.withWorkers(func(workers int) error {
 			s.tree.SetWorkers(workers)
 			// The pool share is already held for this round: the context
 			// reuses it directly rather than re-acquiring (two sessions
 			// nesting pool acquisitions could deadlock each other).
-			sctx := &selection.Context{Tree: s.tree, Measure: s.measure, Workers: workers, Live: s.live}
-			var build, sel time.Duration
+			sctx := s.context()
+			sctx.Workers, sctx.Pool = workers, nil
 			var err error
-			batch, build, sel, err = engine.PlanIncrRound(s.tree, s.cfg.K, s.cfg.RoundSize, remaining, sctx)
-			buildMS, selectMS = build, sel
+			batch, build, sel, err = planIncrRound(s.tree, s.cfg.K, s.cfg.RoundSize, remaining, sctx)
 			return err
 		})
+		s.times.Build += build
+		s.times.Select += sel
 		if err != nil {
 			return err
 		}
-		sp.SetAttr("build_ms", float64(buildMS)/float64(time.Millisecond))
-		sp.SetAttr("select_ms", float64(selectMS)/float64(time.Millisecond))
+		sp.SetAttr("build_ms", float64(build)/float64(time.Millisecond))
+		sp.SetAttr("select_ms", float64(sel)/float64(time.Millisecond))
 		if len(batch) == 0 {
 			return s.finish(ctx) // tree fully built and certain
 		}
@@ -361,7 +409,8 @@ func (s *Session) finish(ctx context.Context) error {
 	defer sp.End()
 	if err := s.withWorkers(func(workers int) error {
 		s.tree.SetWorkers(workers)
-		_, err := engine.ExtendToDepth(s.tree, s.cfg.K)
+		d, err := extendToDepth(s.tree, s.cfg.K)
+		s.times.Build += d
 		return err
 	}); err != nil {
 		return err
@@ -412,12 +461,11 @@ func (s *Session) NextQuestions(n int) ([]tpo.Question, Status, error) {
 }
 
 // SubmitAnswer accepts one crowd answer for a currently issued question,
-// conditions the tree with the session's reliability (prune or reweight via
-// the shared engine transition), and plans further questions once the
-// outstanding ones are all answered. Answers may arrive in any order within
-// the issued set and in either orientation of the pair. A contradictory
-// answer is absorbed (counted, tree unchanged) exactly as in the batch
-// engine.
+// conditions the tree with the session's reliability (prune or reweight),
+// and plans further questions once the outstanding ones are all answered.
+// Answers may arrive in any order within the issued set and in either
+// orientation of the pair. A contradictory answer is absorbed (counted, tree
+// unchanged).
 func (s *Session) SubmitAnswer(a tpo.Answer) error {
 	return s.SubmitAnswerCtx(context.Background(), a)
 }
@@ -470,7 +518,15 @@ func (s *Session) submitLocked(ctx context.Context, a tpo.Answer) error {
 	sp.SetAttr("i", a.Q.I)
 	sp.SetAttr("j", a.Q.J)
 	sp.SetAttr("yes", a.Yes)
-	contradicted, err := engine.ApplyAnswerLive(applyCtx, s.tree, a, s.cfg.Reliability, s.live)
+	began := time.Now()
+	contradicted, err := applyAnswer(s.tree, a, s.cfg.Reliability)
+	if err == nil && !contradicted {
+		// Bring the held selection engine in line in place (tombstoning
+		// pruned leaves, reweighting survivors) instead of rebuilding it on
+		// the next round.
+		s.live.Sync(applyCtx, s.tree, s.cfg.Reliability >= 1)
+	}
+	s.times.Apply += time.Since(began)
 	sp.SetAttr("contradicted", contradicted)
 	sp.End()
 	if err != nil {
@@ -571,6 +627,22 @@ func (s *Session) AnswersSince(from int) ([]tpo.Answer, int) {
 	return append([]tpo.Answer(nil), s.answers[from:]...), n
 }
 
+// Timings reports the wall-clock time spent per protocol phase since the
+// session was created (a restored session counts from its restore).
+func (s *Session) Timings() Timings {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.times
+}
+
+// LeafSet snapshots the orderings still possible, with their probabilities.
+// Until an incr session terminates its paths may be shorter than K.
+func (s *Session) LeafSet() *tpo.LeafSet {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.tree.LeafSet()
+}
+
 // Orderings counts the orderings still possible (without snapshotting them).
 func (s *Session) Orderings() int {
 	s.mu.Lock()
@@ -617,36 +689,41 @@ func (s *Session) Names() []string {
 // Len returns the number of tuples in the session's dataset.
 func (s *Session) Len() int { return len(s.cfg.Dists) }
 
-// countingSource wraps the standard PRNG source and counts how many values
+// CountingSource wraps the standard PRNG source and counts how many values
 // have been drawn, so a checkpoint can record the exact generator position
-// and a restore can replay to it. Both Int63 and Uint64 advance the
-// underlying generator by one step, so replaying n draws through either
-// method reproduces the state.
-type countingSource struct {
+// and a restore can replay to it (as can a driver handing a session the
+// rest of a stream through Config.RNGDraws). Both Int63 and Uint64 advance
+// the underlying generator by one step, so replaying n draws through either
+// method reproduces the state. It implements rand.Source64.
+type CountingSource struct {
 	src   rand.Source64
 	draws uint64
 }
 
-func newCountingSource(seed int64) *countingSource {
-	return &countingSource{src: rand.NewSource(seed).(rand.Source64)}
+// NewCountingSource returns the seeded source sessions draw from.
+func NewCountingSource(seed int64) *CountingSource {
+	return &CountingSource{src: rand.NewSource(seed).(rand.Source64)}
 }
 
-func (c *countingSource) Int63() int64 {
+// Draws reports how many values have been drawn.
+func (c *CountingSource) Draws() uint64 { return c.draws }
+
+func (c *CountingSource) Int63() int64 {
 	c.draws++
 	return c.src.Int63()
 }
 
-func (c *countingSource) Uint64() uint64 {
+func (c *CountingSource) Uint64() uint64 {
 	c.draws++
 	return c.src.Uint64()
 }
 
-func (c *countingSource) Seed(seed int64) {
+func (c *CountingSource) Seed(seed int64) {
 	c.src.Seed(seed)
 	c.draws = 0
 }
 
-func (c *countingSource) burn(n uint64) {
+func (c *CountingSource) burn(n uint64) {
 	for i := uint64(0); i < n; i++ {
 		c.src.Uint64()
 	}

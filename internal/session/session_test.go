@@ -6,14 +6,15 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"crowdtopk/internal/crowd"
 	"crowdtopk/internal/dataset"
 	"crowdtopk/internal/dist"
-	"crowdtopk/internal/engine"
 	"crowdtopk/internal/par"
+	"crowdtopk/internal/selection"
 	"crowdtopk/internal/tpo"
 	"crowdtopk/internal/uncertainty"
 )
@@ -52,68 +53,57 @@ func drive(t *testing.T, s *Session, cr crowd.Crowd, batch int) {
 	t.Fatal("session did not terminate")
 }
 
-// TestSessionMatchesEngine: for every algorithm, a session fed by the same
-// crowd reproduces the batch engine's result — ranking, question count,
-// surviving orderings and resolution — because both consume the same
-// extracted transition code.
+// TestSessionMatchesEngine: for every algorithm, a session fed by a perfect
+// crowd reproduces the result the batch engine recorded for the same
+// configuration before engine.Run became a driver over this package —
+// ranking, question count, surviving orderings, uncertainty and resolution.
 func TestSessionMatchesEngine(t *testing.T) {
 	ds := testDists(t, 7, 5)
 	truth := crowd.SampleTruth(ds, rand.New(rand.NewSource(99)))
-	algs := []string{
-		engine.AlgT1On, engine.AlgAStarOn,
-		engine.AlgTBOff, engine.AlgCOff, engine.AlgAStarOff,
-		engine.AlgRandom, engine.AlgNaive,
-		engine.AlgIncr,
+	recorded := []struct {
+		alg       string
+		asked     int
+		orderings int
+		resolved  bool
+		ranking   []int
+		u         float64
+	}{
+		{AlgT1On, 6, 1, true, []int{5, 6, 4}, 0},
+		{AlgAStarOn, 12, 1, true, []int{5, 6, 4}, 0},
+		{AlgTBOff, 12, 1, true, []int{5, 6, 4}, 0},
+		{AlgCOff, 12, 2, false, []int{5, 6, 4}, 0.00040403263043547078},
+		{AlgAStarOff, 12, 2, false, []int{5, 6, 4}, 0.00040403263043547051},
+		{AlgRandom, 12, 3, false, []int{5, 6, 4}, 0.027474172183064454},
+		{AlgNaive, 12, 1, true, []int{5, 6, 4}, 0},
+		{AlgIncr, 12, 3, false, []int{5, 6, 4}, 0.0035992261377960628},
 	}
-	for _, alg := range algs {
-		alg := alg
-		t.Run(alg, func(t *testing.T) {
+	for _, want := range recorded {
+		t.Run(want.alg, func(t *testing.T) {
 			const k, budget, seed = 3, 12, 17
-			m, err := uncertainty.New("MPO")
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Truth is passed explicitly so the engine's RNG is consumed
-			// only by the strategy, matching the session's RNG stream for
-			// the random baselines.
-			want, err := engine.Run(engine.Config{
-				Dists: ds, K: k, Budget: budget, Algorithm: alg,
-				Measure: m, Crowd: &crowd.PerfectOracle{Truth: truth},
-				Truth: truth, Seed: seed,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			s, err := New(Config{Dists: ds, K: k, Budget: budget, Algorithm: alg, Seed: seed})
+			s, err := New(Config{Dists: ds, K: k, Budget: budget, Algorithm: want.alg, Seed: seed})
 			if err != nil {
 				t.Fatal(err)
 			}
 			drive(t, s, &crowd.PerfectOracle{Truth: truth}, 0)
 			got := s.Result()
 
-			if got.Asked != want.Asked {
-				t.Errorf("asked = %d, want %d", got.Asked, want.Asked)
+			if got.Asked != want.asked {
+				t.Errorf("asked = %d, want %d", got.Asked, want.asked)
 			}
-			if got.Orderings != want.FinalLeaves {
-				t.Errorf("orderings = %d, want %d", got.Orderings, want.FinalLeaves)
+			if got.Orderings != want.orderings {
+				t.Errorf("orderings = %d, want %d", got.Orderings, want.orderings)
 			}
-			if got.Resolved != want.Resolved {
-				t.Errorf("resolved = %v, want %v", got.Resolved, want.Resolved)
+			if got.Resolved != want.resolved {
+				t.Errorf("resolved = %v, want %v", got.Resolved, want.resolved)
 			}
-			if len(got.Ranking) != len(want.FinalOrdering) {
-				t.Fatalf("ranking %v, want %v", got.Ranking, want.FinalOrdering)
+			if !slices.Equal(got.Ranking, want.ranking) {
+				t.Fatalf("ranking %v, want %v", got.Ranking, want.ranking)
 			}
-			for i := range got.Ranking {
-				if got.Ranking[i] != want.FinalOrdering[i] {
-					t.Fatalf("ranking %v, want %v", got.Ranking, want.FinalOrdering)
-				}
-			}
-			if math.Abs(got.Uncertainty-want.FinalUncertainty) > 1e-9 {
-				t.Errorf("uncertainty = %v, want %v", got.Uncertainty, want.FinalUncertainty)
+			if math.Abs(got.Uncertainty-want.u) > 1e-9 {
+				t.Errorf("uncertainty = %v, want %v", got.Uncertainty, want.u)
 			}
 			wantState := Exhausted
-			if want.Resolved {
+			if want.resolved {
 				wantState = Converged
 			}
 			if got.State != wantState {
@@ -124,47 +114,29 @@ func TestSessionMatchesEngine(t *testing.T) {
 }
 
 // TestSessionNoisyMatchesEngine: with reliability < 1 the session reweights
-// exactly as the engine does for the same worker answers.
+// to the result the batch engine recorded for the same worker answers.
 func TestSessionNoisyMatchesEngine(t *testing.T) {
 	ds := testDists(t, 6, 11)
 	truth := crowd.SampleTruth(ds, rand.New(rand.NewSource(4)))
 	const k, budget, accuracy = 2, 10, 0.8
-	newCrowd := func() crowd.Crowd {
-		pf, err := crowd.NewUniformPlatform(truth, 16, accuracy, rand.New(rand.NewSource(7)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pf
-	}
-	m, err := uncertainty.New("MPO")
+	cr, err := crowd.NewUniformPlatform(truth, 16, accuracy, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := engine.Run(engine.Config{
-		Dists: ds, K: k, Budget: budget, Algorithm: engine.AlgT1On,
-		Measure: m, Crowd: newCrowd(), Truth: truth, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cr := newCrowd()
-	s, err := New(Config{Dists: ds, K: k, Budget: budget, Algorithm: engine.AlgT1On, Reliability: cr.Reliability()})
+	s, err := New(Config{Dists: ds, K: k, Budget: budget, Algorithm: AlgT1On, Reliability: cr.Reliability()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	drive(t, s, cr, 0)
 	got := s.Result()
-	if got.Asked != want.Asked || got.Orderings != want.FinalLeaves {
-		t.Fatalf("asked/orderings = %d/%d, want %d/%d", got.Asked, got.Orderings, want.Asked, want.FinalLeaves)
+	if got.Asked != 10 || got.Orderings != 20 {
+		t.Fatalf("asked/orderings = %d/%d, want 10/20", got.Asked, got.Orderings)
 	}
-	for i := range got.Ranking {
-		if got.Ranking[i] != want.FinalOrdering[i] {
-			t.Fatalf("ranking %v, want %v", got.Ranking, want.FinalOrdering)
-		}
+	if want := []int{5, 3}; !slices.Equal(got.Ranking, want) {
+		t.Fatalf("ranking %v, want %v", got.Ranking, want)
 	}
-	if math.Abs(got.Uncertainty-want.FinalUncertainty) > 1e-9 {
-		t.Fatalf("uncertainty = %v, want %v", got.Uncertainty, want.FinalUncertainty)
+	if want := 0.16600161355149115; math.Abs(got.Uncertainty-want) > 1e-9 {
+		t.Fatalf("uncertainty = %v, want %v", got.Uncertainty, want)
 	}
 }
 
@@ -173,7 +145,7 @@ func TestSessionNoisyMatchesEngine(t *testing.T) {
 // straight through — for a full-tree strategy and for incr, whose tree is
 // only partially built at the checkpoint.
 func TestSessionCheckpointRestoreMidQuery(t *testing.T) {
-	for _, alg := range []string{engine.AlgT1On, engine.AlgIncr, engine.AlgTBOff} {
+	for _, alg := range []string{AlgT1On, AlgIncr, AlgTBOff} {
 		alg := alg
 		t.Run(alg, func(t *testing.T) {
 			ds := testDists(t, 7, 5)
@@ -469,7 +441,7 @@ func TestSessionSharedPool(t *testing.T) {
 				return
 			}
 			truth := crowd.SampleTruth(ds, rand.New(rand.NewSource(int64(i))))
-			s, err := New(Config{Dists: ds, K: 2, Budget: 6, Algorithm: engine.AlgIncr, Pool: pool})
+			s, err := New(Config{Dists: ds, K: 2, Budget: 6, Algorithm: AlgIncr, Pool: pool})
 			if err != nil {
 				errs[i] = err
 				return
@@ -502,5 +474,70 @@ func TestSessionSharedPool(t *testing.T) {
 		if results[i] == nil || !results[i].State.Terminal() {
 			t.Fatalf("session %d did not terminate: %+v", i, results[i])
 		}
+	}
+}
+
+// TestBranchEpsilonReachesEverySweep: Config.BranchEpsilon is the ε of every
+// selection context the session builds — the offline batch, the online
+// step and the incr round. Each first plan must match the strategy run
+// directly with that ε, and differ from the default-ε plan (so the check
+// is not vacuous).
+func TestBranchEpsilonReachesEverySweep(t *testing.T) {
+	ds := testDists(t, 7, 5)
+	const k, budget, eps = 3, 4, 0.15
+	plan := func(t *testing.T, alg string, eps float64) []tpo.Question {
+		t.Helper()
+		build := tpo.Build
+		if alg == AlgIncr {
+			build = tpo.StartIncremental
+		}
+		tree, err := build(ds, k, tpo.BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := &selection.Context{Tree: tree, Measure: uncertainty.Entropy{}, BranchEpsilon: eps}
+		switch alg {
+		case AlgIncr:
+			qs, _, _, err := planIncrRound(tree, k, 5, budget, ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return qs
+		case AlgT1On:
+			q, _, err := selection.T1On{}.NextQuestion(tree.LeafSet(), budget, ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return []tpo.Question{q}
+		default:
+			strat, err := offlineStrategy(alg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qs, err := strat.SelectBatch(tree.LeafSet(), budget, ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return qs
+		}
+	}
+	for _, alg := range []string{AlgTBOff, AlgCOff, AlgT1On, AlgIncr} {
+		t.Run(alg, func(t *testing.T) {
+			s, err := New(Config{Dists: ds, K: k, Budget: budget, Algorithm: alg, Measure: "H", BranchEpsilon: eps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := s.NextQuestions(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := plan(t, alg, eps)
+			if !slices.Equal(got, want) {
+				t.Fatalf("session plans %v, ε=%g strategy plans %v", got, eps, want)
+			}
+			if def := plan(t, alg, 0); slices.Equal(def, want) {
+				t.Fatalf("default ε plans the same %v; the check is vacuous", def)
+			}
+		})
 	}
 }

@@ -1,7 +1,6 @@
-package engine
+package session
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -11,21 +10,40 @@ import (
 	"crowdtopk/internal/tpo"
 )
 
-// This file is the single home of the protocol's state transitions — how an
-// answer conditions the tree, how strategies are instantiated by name, and
-// how the incr algorithm plans a question round. Both execution paths
-// consume it: the synchronous batch runner (Run) and the asynchronous
-// session subsystem (internal/session), so the served protocol cannot drift
-// from the one the experiments validate.
+// This file holds the protocol's state transitions — how strategies are
+// instantiated by name, how an answer conditions the tree, and how the incr
+// algorithm plans a question round. Every query runs through them: served
+// sessions and the experiments' engine.Run, which drives a Session.
 
-// ApplyAnswer conditions the tree on one crowd answer: trusted answers
+// Algorithm names accepted by Config.Algorithm.
+const (
+	AlgRandom     = "random"
+	AlgNaive      = "naive"
+	AlgTBOff      = "TB-off"
+	AlgCOff       = "C-off"
+	AlgAStarOff   = "A*-off"
+	AlgExhaustive = "exhaustive"
+	AlgT1On       = "T1-on"
+	AlgAStarOn    = "A*-on"
+	AlgIncr       = "incr"
+)
+
+// Algorithms lists every supported algorithm name.
+func Algorithms() []string {
+	return []string{AlgRandom, AlgNaive, AlgTBOff, AlgCOff, AlgAStarOff, AlgExhaustive, AlgT1On, AlgAStarOn, AlgIncr}
+}
+
+// ErrUnknownAlgorithm reports an unrecognized Config.Algorithm.
+var ErrUnknownAlgorithm = errors.New("session: unknown algorithm")
+
+// applyAnswer conditions the tree on one crowd answer: trusted answers
 // (reliability >= 1) prune inconsistent orderings outright, noisy answers
 // apply the Bayesian reweighting of §III.C. A contradictory answer — one
 // that conflicts with every remaining ordering, possible only when trusted
 // answers meet a tree whose true prefix was numerically pruned at build
 // time — carries no usable information: the tree is left unchanged and
 // contradicted is true. Any other failure is a real error.
-func ApplyAnswer(t *tpo.Tree, a tpo.Answer, reliability float64) (contradicted bool, err error) {
+func applyAnswer(t *tpo.Tree, a tpo.Answer, reliability float64) (contradicted bool, err error) {
 	if reliability >= 1 {
 		err = t.Prune(a)
 	} else {
@@ -37,22 +55,9 @@ func ApplyAnswer(t *tpo.Tree, a tpo.Answer, reliability float64) (contradicted b
 	return false, err
 }
 
-// ApplyAnswerLive is ApplyAnswer for callers holding a live selection
-// engine: after the tree is conditioned, the engine is brought in line with
-// an in-place update (tombstoning pruned leaves, reweighting survivors)
-// instead of being rebuilt on the next round. A contradicted answer leaves
-// both the tree and the engine untouched. live may be nil.
-func ApplyAnswerLive(ctx context.Context, t *tpo.Tree, a tpo.Answer, reliability float64, live *selection.LiveEngine) (contradicted bool, err error) {
-	contradicted, err = ApplyAnswer(t, a, reliability)
-	if err == nil && !contradicted {
-		live.Sync(ctx, t, reliability >= 1)
-	}
-	return contradicted, err
-}
-
-// OfflineStrategy instantiates the named batch strategy. The rng drives the
+// offlineStrategy instantiates the named batch strategy. The rng drives the
 // random baselines and is unused by the deterministic strategies.
-func OfflineStrategy(name string, rng *rand.Rand) (selection.Offline, error) {
+func offlineStrategy(name string, rng *rand.Rand) (selection.Offline, error) {
 	switch name {
 	case AlgRandom:
 		return selection.NewRandom(rng), nil
@@ -71,8 +76,8 @@ func OfflineStrategy(name string, rng *rand.Rand) (selection.Offline, error) {
 	}
 }
 
-// OnlineStrategy instantiates the named one-question-at-a-time strategy.
-func OnlineStrategy(name string) (selection.Online, error) {
+// onlineStrategy instantiates the named one-question-at-a-time strategy.
+func onlineStrategy(name string) (selection.Online, error) {
 	switch name {
 	case AlgT1On:
 		return selection.T1On{}, nil
@@ -83,9 +88,9 @@ func OnlineStrategy(name string) (selection.Online, error) {
 	}
 }
 
-// IsOffline reports whether the named algorithm selects a whole batch up
+// isOffline reports whether the named algorithm selects a whole batch up
 // front (the offline strategies of §III.A and the random baselines).
-func IsOffline(name string) bool {
+func isOffline(name string) bool {
 	switch name {
 	case AlgRandom, AlgNaive, AlgTBOff, AlgCOff, AlgAStarOff, AlgExhaustive:
 		return true
@@ -93,19 +98,19 @@ func IsOffline(name string) bool {
 	return false
 }
 
-// IsOnline reports whether the named algorithm picks one question at a time
+// isOnline reports whether the named algorithm picks one question at a time
 // conditioned on all previous answers (§III.B).
-func IsOnline(name string) bool {
+func isOnline(name string) bool {
 	return name == AlgT1On || name == AlgAStarOn
 }
 
-// PlanIncrRound runs the round head of the incr algorithm (§III.D): extend
+// planIncrRound runs the round head of the incr algorithm (§III.D): extend
 // the tree level by level while there are not enough relevant questions to
 // fill a round of min(roundSize, remaining), then select the round with the
 // TB-off criterion. It returns an empty batch once the tree is fully built
 // and no relevant question remains. buildTime and selectTime report where
-// the wall-clock went, for the runner's timing breakdown.
-func PlanIncrRound(t *tpo.Tree, k, roundSize, remaining int, ctx *selection.Context) (batch []tpo.Question, buildTime, selectTime time.Duration, err error) {
+// the wall-clock went, for the session's phase timings.
+func planIncrRound(t *tpo.Tree, k, roundSize, remaining int, ctx *selection.Context) (batch []tpo.Question, buildTime, selectTime time.Duration, err error) {
 	if remaining <= 0 {
 		return nil, 0, 0, nil
 	}
@@ -135,10 +140,10 @@ func PlanIncrRound(t *tpo.Tree, k, roundSize, remaining int, ctx *selection.Cont
 	return batch, buildTime, selectTime, nil
 }
 
-// ExtendToDepth materializes any missing tree levels up to depth k, so the
+// extendToDepth materializes any missing tree levels up to depth k, so the
 // reported result is a depth-k leaf set comparable across algorithms. It
 // returns the construction time spent.
-func ExtendToDepth(t *tpo.Tree, k int) (time.Duration, error) {
+func extendToDepth(t *tpo.Tree, k int) (time.Duration, error) {
 	var total time.Duration
 	for t.Depth() < k {
 		start := time.Now()

@@ -147,33 +147,6 @@ func TestReweightSequenceOrderIndependence(t *testing.T) {
 	}
 }
 
-// TestAnswerProbabilitiesAreCoherent: over random trees and questions,
-// Pr(yes) + Pr(no) = 1 and pruning by an answer with probability p rescales
-// the surviving mass by exactly p (for leaves that determine the pair).
-func TestAnswerProbabilitiesAreCoherent(t *testing.T) {
-	rng := rand.New(rand.NewSource(109))
-	for trial := 0; trial < 20; trial++ {
-		tree := randomTree(t, rng, 6, 3)
-		ls := tree.LeafSet()
-		for _, q := range ls.RelevantQuestions() {
-			pi := tree.ProbGreater(q.I, q.J)
-			pYes := ls.AnswerProb(q, pi)
-			pNo := ls.AnswerProb(Question{I: q.I, J: q.J}, 1-pi)
-			// AnswerProb of the same question with flipped pi equals the
-			// complementary direction only when no undetermined leaves
-			// exist; use Split masses for the strict identity instead.
-			yes, no := ls.Split(q, pi)
-			if !numeric.AlmostEqual(yes.Mass()+no.Mass(), 1, 1e-9) {
-				t.Fatalf("split masses %g + %g != 1", yes.Mass(), no.Mass())
-			}
-			if !numeric.AlmostEqual(pYes, yes.Mass(), 1e-9) {
-				t.Fatalf("AnswerProb %g != yes mass %g", pYes, yes.Mass())
-			}
-			_ = pNo
-		}
-	}
-}
-
 // TestCloneEqualsOriginalEverywhere does a deep structural comparison.
 func TestCloneEqualsOriginalEverywhere(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))

@@ -3,7 +3,6 @@ package tpo
 import (
 	"fmt"
 
-	"crowdtopk/internal/numeric"
 	"crowdtopk/internal/rank"
 )
 
@@ -81,70 +80,6 @@ func (t *Tree) applyAnswer(a Answer, accuracy float64) error {
 		return fmt.Errorf("%s: %w", a, err)
 	}
 	return nil
-}
-
-// Split partitions the leaf set by a question: the probability-weighted
-// outcome of answering q "yes" (I ≺ J) and "no". Undetermined leaves appear
-// in both branches with weight scaled by the score-model pairwise
-// probability piYes = Pr(s_I > s_J). The returned sets are unnormalized;
-// their masses are the answer probabilities Pr(yes) and Pr(no).
-func (ls *LeafSet) Split(q Question, piYes float64) (yes, no *LeafSet) {
-	yes = &LeafSet{K: ls.K}
-	no = &LeafSet{K: ls.K}
-	ansYes := Answer{Q: q, Yes: true}
-	for i, p := range ls.Paths {
-		w := ls.W[i]
-		if w == 0 {
-			continue
-		}
-		switch PathConsistency(p, ansYes) {
-		case Consistent:
-			yes.Paths = append(yes.Paths, p)
-			yes.W = append(yes.W, w)
-		case Inconsistent:
-			no.Paths = append(no.Paths, p)
-			no.W = append(no.W, w)
-		case Undetermined:
-			if piYes > 0 {
-				yes.Paths = append(yes.Paths, p)
-				yes.W = append(yes.W, w*piYes)
-			}
-			if piYes < 1 {
-				no.Paths = append(no.Paths, p)
-				no.W = append(no.W, w*(1-piYes))
-			}
-		}
-	}
-	return yes, no
-}
-
-// Mass returns the total weight of the (possibly unnormalized) leaf set.
-func (ls *LeafSet) Mass() float64 { return numeric.Sum(ls.W) }
-
-// Normalized returns a copy of the leaf set scaled to unit mass. A zero-mass
-// set is returned unchanged.
-func (ls *LeafSet) Normalized() *LeafSet {
-	out := &LeafSet{K: ls.K, Paths: ls.Paths, W: append([]float64(nil), ls.W...)}
-	numeric.Normalize(out.W)
-	return out
-}
-
-// AnswerProb returns Pr(answer = yes) for question q over the (normalized)
-// leaf set: determined leaves vote with their weight, undetermined leaves
-// contribute their weight times the model probability piYes.
-func (ls *LeafSet) AnswerProb(q Question, piYes float64) float64 {
-	ansYes := Answer{Q: q, Yes: true}
-	var pk numeric.KahanSum
-	for i, p := range ls.Paths {
-		switch PathConsistency(p, ansYes) {
-		case Consistent:
-			pk.Add(ls.W[i])
-		case Undetermined:
-			pk.Add(ls.W[i] * piYes)
-		case Inconsistent:
-		}
-	}
-	return numeric.Clamp(pk.Sum(), 0, 1)
 }
 
 // RelevantQuestions returns Q_K: the canonical questions over tuple pairs

@@ -2,7 +2,6 @@ package tpo
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
 
 	"crowdtopk/internal/dist"
@@ -200,58 +199,6 @@ func TestReweightValidation(t *testing.T) {
 	}
 }
 
-func TestSplitMassesMatchAnswerProb(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	ds := make([]dist.Distribution, 5)
-	for i := range ds {
-		u, err := dist.NewUniformAround(rng.Float64()*2, 1+rng.Float64())
-		if err != nil {
-			t.Fatal(err)
-		}
-		ds[i] = u
-	}
-	tree, err := Build(ds, 3, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls := tree.LeafSet()
-	for _, q := range ls.RelevantQuestions() {
-		pi := tree.ProbGreater(q.I, q.J)
-		yes, no := ls.Split(q, pi)
-		pYes := ls.AnswerProb(q, pi)
-		if !numeric.AlmostEqual(yes.Mass(), pYes, 1e-9) {
-			t.Fatalf("q=%v: yes mass %g vs AnswerProb %g", q, yes.Mass(), pYes)
-		}
-		if !numeric.AlmostEqual(yes.Mass()+no.Mass(), 1, 1e-9) {
-			t.Fatalf("q=%v: masses %g + %g != 1", q, yes.Mass(), no.Mass())
-		}
-	}
-}
-
-func TestSplitKeepsDeterminedLeavesOnOneSide(t *testing.T) {
-	tree, err := Build(iidUniforms(t, 3), 3, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls := tree.LeafSet()
-	q := NewQuestion(0, 1)
-	yes, no := ls.Split(q, tree.ProbGreater(0, 1))
-	if yes.Len() != 3 || no.Len() != 3 {
-		t.Fatalf("split sizes %d / %d, want 3 / 3 (full orderings determine every pair)", yes.Len(), no.Len())
-	}
-	ay := Answer{Q: q, Yes: true}
-	for _, p := range yes.Paths {
-		if PathConsistency(p, ay) != Consistent {
-			t.Fatalf("yes branch contains %v", p)
-		}
-	}
-	for _, p := range no.Paths {
-		if PathConsistency(p, ay) != Inconsistent {
-			t.Fatalf("no branch contains %v", p)
-		}
-	}
-}
-
 func TestRelevantQuestionsIIDAllPairs(t *testing.T) {
 	tree, err := Build(iidUniforms(t, 4), 4, BuildOptions{})
 	if err != nil {
@@ -306,13 +253,13 @@ func TestLeafSetCloneAndNormalized(t *testing.T) {
 	if ls.W[0] == 99 || ls.Paths[0][0] == 77 {
 		t.Fatal("Clone shares storage")
 	}
-	un := &LeafSet{K: 2, Paths: ls.Paths, W: []float64{2, 2, 4}}
-	norm := un.Normalized()
-	if !numeric.AlmostEqual(norm.Mass(), 1, 1e-12) {
-		t.Fatalf("Normalized mass = %g", norm.Mass())
+	// Snapshots are normalized even after pruning leaves unnormalized
+	// posteriors in the tree.
+	if err := tree.Prune(Answer{Q: NewQuestion(0, 1), Yes: true}); err != nil {
+		t.Fatal(err)
 	}
-	if un.W[0] != 2 {
-		t.Fatal("Normalized mutated the receiver")
+	if m := numeric.Sum(tree.LeafSet().W); !numeric.AlmostEqual(m, 1, 1e-12) {
+		t.Fatalf("snapshot mass = %g", m)
 	}
 }
 

@@ -126,8 +126,8 @@ type LeafSet struct {
 	W     []float64
 
 	// flat is the contiguous path backing when the set was snapshotted from
-	// a tree: Paths[i] aliases flat[i*K : (i+1)*K]. Derived sets (Split,
-	// Clone, deserialization) leave it nil. See Flat.
+	// a tree: Paths[i] aliases flat[i*K : (i+1)*K]. Derived sets (Clone,
+	// deserialization) leave it nil. See Flat.
 	flat []int
 }
 
@@ -187,7 +187,7 @@ func (t *Tree) LeafSetInto(ls *LeafSet) *LeafSet {
 // Flat exposes the arena layout of the leaf set: all paths of length K
 // back to back in one array, leaf i occupying flat[i*K : (i+1)*K]. ok is
 // false when the set was not snapshotted from a tree (derived or hand-built
-// sets), in which case callers flatten or fall back themselves. The returned
+// sets), in which case callers flatten it themselves. The returned
 // slice is shared with Paths and must not be mutated.
 func (ls *LeafSet) Flat() (flat []int, ok bool) {
 	if ls.flat == nil || len(ls.flat) != len(ls.Paths)*ls.K {

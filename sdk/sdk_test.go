@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	crowdtopk "crowdtopk"
+	"crowdtopk/internal/session"
 	"crowdtopk/sdk"
 )
 
@@ -124,6 +125,22 @@ func TestTypedErrors(t *testing.T) {
 
 	if _, err := client.Result("s_nope"); !errors.Is(err, sdk.ErrNotFound) {
 		t.Fatalf("unknown id: %v, want ErrNotFound", err)
+	}
+
+	// Managed sessions must checkpoint, so a dataset without a wire form
+	// (conditioning truncates Gaussian scores) is a configuration error.
+	gs, err := crowdtopk.NewDataset([]crowdtopk.Uncertain{
+		crowdtopk.GaussianScore(1.0, 0.5), crowdtopk.GaussianScore(1.3, 0.5), crowdtopk.GaussianScore(1.6, 0.5),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cond, err := gs.Conditioned(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := client.CreateSession(sdk.SessionConfig{Dataset: cond, Query: crowdtopk.Query{K: 2, Budget: 2}}); !errors.Is(err, session.ErrInvalidConfig) {
+		t.Fatalf("dataset without wire form: %v, want ErrInvalidConfig", err)
 	}
 
 	cfg := sdk.SessionConfig{Dataset: ds, Query: crowdtopk.Query{K: 2, Budget: 6}}

@@ -39,8 +39,8 @@ var (
 // current top-K belief at any time, and Checkpoint/RestoreSession round-trip
 // the whole query state through a versioned JSON envelope so it survives
 // process restarts. Sessions driven to completion return exactly the result
-// Process would for the same configuration and answers: both paths run the
-// same transition code.
+// Process would for the same configuration and answers: Process drives the
+// same session state machine with its blocking Crowd.
 //
 // All methods are safe for concurrent use.
 type Session struct {

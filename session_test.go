@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	crowdtopk "crowdtopk"
+	"crowdtopk/internal/session"
 )
 
 func sessionWorkload(t *testing.T) *crowdtopk.Dataset {
@@ -169,5 +170,47 @@ func TestSessionUnknownQuestion(t *testing.T) {
 	err = sess.SubmitAnswer(crowdtopk.Answer{Q: bad, Yes: true})
 	if !errors.Is(err, crowdtopk.ErrUnknownQuestion) {
 		t.Fatalf("unissued answer error = %v, want ErrUnknownQuestion", err)
+	}
+}
+
+// conditionedGaussians returns a dataset whose scores have no wire form:
+// conditioning Gaussian scores on an answer truncates them.
+func conditionedGaussians(t *testing.T) *crowdtopk.Dataset {
+	t.Helper()
+	ds, err := crowdtopk.NewDataset([]crowdtopk.Uncertain{
+		crowdtopk.GaussianScore(1.0, 0.5),
+		crowdtopk.GaussianScore(1.3, 0.5),
+		crowdtopk.GaussianScore(1.6, 0.5),
+		crowdtopk.GaussianScore(1.9, 0.5),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := ds.Conditioned(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
+
+// TestDatasetWithoutWireForm: Process answers a query on a dataset with no
+// wire form — its session never leaves the process — while NewSession,
+// whose sessions must checkpoint, rejects the dataset up front.
+func TestDatasetWithoutWireForm(t *testing.T) {
+	ds := conditionedGaussians(t)
+	query := crowdtopk.Query{K: 2, Budget: 4, Seed: 5}
+	cr, _, err := crowdtopk.SimulatedCrowd(ds, 1, 1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := crowdtopk.Process(ds, query, cr)
+	if err != nil {
+		t.Fatalf("Process on a dataset without wire form: %v", err)
+	}
+	if len(res.Ranking) != query.K || res.QuestionsAsked == 0 {
+		t.Fatalf("Process result %+v", res)
+	}
+	if _, err := crowdtopk.NewSession(ds, query, 1); !errors.Is(err, session.ErrInvalidConfig) {
+		t.Fatalf("NewSession on a dataset without wire form: %v, want ErrInvalidConfig", err)
 	}
 }
