@@ -1,9 +1,11 @@
 # Convenience targets for the reproduction. The benchmarks regenerate the
 # paper's figures; `bench` records the selection + Fig-1(b) families (the
 # residual-sweep hot path), the persist family (WAL append, snapshot
-# compaction, cold recovery) and the incremental family (live-engine
-# per-answer update vs. full rebuild) to BENCH_selection.json via
-# cmd/benchreport so before/after numbers live next to the code.
+# compaction, cold recovery), the incremental family (live-engine
+# per-answer update vs. full rebuild) and the tree-build family (TPO build
+# at the serving workloads' shapes, worker scaling, Extend) to
+# BENCH_selection.json via cmd/benchreport so before/after numbers live
+# next to the code.
 
 BENCHTIME ?= 20x
 LOADGEN_DURATION ?= 10s

@@ -148,27 +148,39 @@ func BenchmarkNonUniform(b *testing.B) {
 }
 
 // BenchmarkTPOBuild regenerates the scalability experiment (E6): full TPO
-// construction cost versus N and K.
+// construction cost versus N and K. The catalog and durable rows build the
+// trees the serving benchmark's workloads create per session (default
+// 1,024-point grid, one worker), so the create path's tree build has a
+// microbenchmark of its own.
 func BenchmarkTPOBuild(b *testing.B) {
+	run := func(b *testing.B, spec dataset.Spec, k int, opt tpo.BuildOptions) {
+		ds, err := dataset.Generate(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var leaves float64
+		for i := 0; i < b.N; i++ {
+			tree, err := tpo.Build(ds, k, opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			leaves += float64(tree.NumLeaves())
+		}
+		b.ReportMetric(leaves/float64(b.N), "leaves")
+	}
 	for _, n := range []int{10, 15, 20} {
 		for _, k := range []int{3, 4, 5} {
 			b.Run(fmt.Sprintf("N=%d/K=%d", n, k), func(b *testing.B) {
-				ds, err := dataset.Generate(dataset.Spec{N: n, Width: 2.4, Seed: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				var leaves float64
-				for i := 0; i < b.N; i++ {
-					tree, err := tpo.Build(ds, k, tpo.BuildOptions{GridSize: 512})
-					if err != nil {
-						b.Fatal(err)
-					}
-					leaves += float64(tree.NumLeaves())
-				}
-				b.ReportMetric(leaves/float64(b.N), "leaves")
+				run(b, dataset.Spec{N: n, Width: 2.4, Seed: 1}, k, tpo.BuildOptions{GridSize: 512})
 			})
 		}
 	}
+	b.Run("catalog/N=24/K=5/workers=1", func(b *testing.B) {
+		run(b, dataset.Spec{N: 24, Width: 3, Spacing: 0.5, Jitter: 0.001, Seed: 1}, 5, tpo.BuildOptions{Workers: 1})
+	})
+	b.Run("durable/N=12/K=3/workers=1", func(b *testing.B) {
+		run(b, dataset.Spec{N: 12, Width: 2, Spacing: 0.5, Seed: 1}, 3, tpo.BuildOptions{Workers: 1})
+	})
 }
 
 // BenchmarkIncrVsFull regenerates the incr half of E6: processing cost of

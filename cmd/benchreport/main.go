@@ -1,11 +1,11 @@
-// Command benchreport runs the selection, figure and persistence benchmarks
-// with -benchmem and writes the parsed results to a machine-readable JSON
-// file (BENCH_selection.json at the repository root, by convention). With
-// -compare it also diffs the fresh run against a previously recorded file
-// and prints per-benchmark ns/op and allocs/op ratios, so CI can surface
-// hot-path regressions in PRs at a glance. The comparison is informational:
-// hardware differs between the recording and CI machines, so it never fails
-// the build on its own.
+// Command benchreport runs the selection, figure, persistence and tree-build
+// benchmarks with -benchmem and writes the parsed results to a
+// machine-readable JSON file (BENCH_selection.json at the repository root,
+// by convention). With -compare it also diffs the fresh run against a
+// previously recorded file and prints per-benchmark ns/op and allocs/op
+// ratios, so CI can surface hot-path regressions in PRs at a glance. The
+// comparison is informational: hardware differs between the recording and
+// CI machines, so it never fails the build on its own.
 //
 // Usage:
 //
@@ -28,14 +28,16 @@ import (
 
 // defaultBench covers the residual-sweep primitives, the end-to-end figure
 // benchmark they dominate, the durability family (WAL append, snapshot
-// compaction, cold recovery), and the incremental family (live-engine
-// per-answer update vs. full rebuild at several leaf-set sizes).
-const defaultBench = "BenchmarkSelectionPrimitives|BenchmarkFig1b|BenchmarkPersist|BenchmarkIncremental"
+// compaction, cold recovery), the incremental family (live-engine
+// per-answer update vs. full rebuild at several leaf-set sizes), and the
+// tree build a session pays on create (full builds at the serving
+// workloads' shapes, worker scaling, level-wise Extend).
+const defaultBench = "BenchmarkSelectionPrimitives|BenchmarkFig1b|BenchmarkPersist|BenchmarkIncremental|BenchmarkTPOBuild|BenchmarkBuildWorkers|BenchmarkExtendWorkers"
 
 // defaultPkgs are the packages holding those families (comma-separated for
 // the -pkg flag; benchmark names are globally unique, so one report file
 // can hold all of them).
-const defaultPkgs = ".,./internal/persist"
+const defaultPkgs = ".,./internal/persist,./internal/tpo"
 
 func main() {
 	bench := flag.String("bench", defaultBench, "benchmark regexp passed to go test -bench")

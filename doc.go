@@ -120,7 +120,10 @@
 // # Fault tolerance
 //
 // The durable tier assumes the disk will fail and degrades instead of
-// lying. Failed writes retry with exponential backoff + jitter under a
+// stopping. It keeps acknowledging answers while writes fail, and those
+// answers live only in memory until a write succeeds (an answer is durable
+// once the persister has written it; see the README's Durability section).
+// Failed writes retry with exponential backoff + jitter under a
 // per-session budget; every outcome feeds a circuit breaker whose state
 // decides how the process serves:
 //
@@ -156,6 +159,22 @@
 // quadrature over the left operand's support otherwise. Gaussian
 // scores are truncated at ±4σ and renormalized so every score has bounded
 // support, which keeps the shared evaluation grids finite.
+//
+// # Tree build
+//
+// tpo.Build evaluates every prefix probability as a trapezoid integral of
+// f_t(x)·C(x)·Π_u F_u(x) over the shared grid, where C is the prefix's
+// survival chain and u runs over the other remaining tuples. Every loop of
+// the kernel is windowed: a candidate's integrand is exactly zero below its
+// first nonzero PDF sample and below the largest first nonzero CDF sample
+// among the other remaining tuples, and above its last nonzero PDF sample
+// and the top of C. The bounds are read off the sampled arrays, and adding
+// an exact zero to a compensated sum or to a running trapezoid total
+// changes no bit, so the tree equals the full-grid evaluation node for node
+// and bit for bit (internal/tpo keeps that evaluation as a test oracle).
+// Builders take their scratch rows from a pool per grid length, and Build
+// its grid samples from a pool too, so a server building a tree per
+// session does not turn them into garbage-collector work.
 //
 // # Selection engine
 //

@@ -316,6 +316,18 @@ func TestConcurrentSessions(t *testing.T) {
 	}
 }
 
+// withConfig returns a copy of a decoded checkpoint's config with one field
+// set.
+func withConfig(env map[string]any, key string, v any) map[string]any {
+	cfg := map[string]any{key: v}
+	for k, old := range env["config"].(map[string]any) {
+		if k != key {
+			cfg[k] = old
+		}
+	}
+	return cfg
+}
+
 // TestServerErrorPaths pins the API's typed failure modes.
 func TestServerErrorPaths(t *testing.T) {
 	srv := newServer(t, server.Config{})
@@ -357,6 +369,15 @@ func TestServerErrorPaths(t *testing.T) {
 		"tuples": specs, "k": 2, "budget": 2, "algorithm": "incr", "round_size": -1,
 	}, nil); code != http.StatusBadRequest {
 		t.Errorf("negative round_size: status %d, want 400", code)
+	}
+	// The build grid is bounded before anything is sampled on it; none of
+	// these reaches an allocation.
+	for _, grid := range []int{-1, 1<<16 + 1, 1 << 30} {
+		if code := doJSON(t, ts.Client(), "POST", ts.URL+"/v1/sessions", map[string]any{
+			"tuples": specs, "k": 2, "budget": 2, "grid_size": grid,
+		}, nil); code != http.StatusBadRequest {
+			t.Errorf("grid_size %d: status %d, want 400", grid, code)
+		}
 	}
 
 	// Create a real session, then answer a question that was never issued →
@@ -425,6 +446,8 @@ func TestServerErrorPaths(t *testing.T) {
 			e["config"] = cfg
 			delete(e, "pending")
 		},
+		"huge grid_size":        func(e map[string]any) { e["config"] = withConfig(e, "grid_size", 1<<30) },
+		"negative prob_epsilon": func(e map[string]any) { e["config"] = withConfig(e, "prob_epsilon", -1) },
 	} {
 		e := map[string]any{}
 		for k, v := range env {

@@ -206,10 +206,11 @@ func start(ctx context.Context, cfg Config, m uncertainty.Measure, digest string
 	if err := s.withWorkers(func(workers int) error {
 		began := time.Now()
 		defer func() { s.times.Build += time.Since(began) }()
-		// Bulk-fill the pairwise π cache before building: the build and the
-		// first residual sweep of a cold dataset then find every pair hot,
-		// and the fill cost lands in the stats endpoint's prewarm counters
-		// instead of smeared over the first NextQuestions call.
+		// Bulk-fill the pairwise π cache before building: the tree build
+		// never reads it, but the first residual sweep of a cold dataset
+		// then finds every pair hot, and the fill cost lands in the stats
+		// endpoint's prewarm counters instead of smeared over the first
+		// NextQuestions call.
 		pcache.Prewarm(cfg.Dists, workers)
 		opt := cfg.Build
 		opt.Workers = workers
@@ -228,6 +229,14 @@ func start(ctx context.Context, cfg Config, m uncertainty.Measure, digest string
 	}
 	return s, nil
 }
+
+// Bounds on the build's evaluation grid. A PDF and a CDF row per tuple are
+// sampled on it, so N·grid_size samples cost 16 bytes each: the bounds cap
+// one session's rows at 256 MB.
+const (
+	maxGridSize    = 1 << 16
+	maxGridSamples = 1 << 24
+)
 
 // validate applies defaults, checks the configuration and instantiates the
 // measure. Both entry points (New and checkpoint Restore) consume it, so
@@ -250,6 +259,21 @@ func validate(cfg *Config) (uncertainty.Measure, error) {
 	}
 	if cfg.RNGDraws > maxRNGReplay {
 		return nil, fmt.Errorf("%w: rng draws %d exceed replay bound %d", ErrInvalidConfig, cfg.RNGDraws, uint64(maxRNGReplay))
+	}
+	// The build samples every tuple on the grid before anything else can
+	// fail, so the grid is bounded here, ahead of any allocation.
+	grid := cfg.Build.GridSize
+	if grid < 0 || grid > maxGridSize {
+		return nil, fmt.Errorf("%w: grid size %d outside [0, %d]", ErrInvalidConfig, grid, maxGridSize)
+	}
+	if grid == 0 {
+		grid = tpo.DefaultGridSize
+	}
+	if samples := len(cfg.Dists) * grid; samples > maxGridSamples {
+		return nil, fmt.Errorf("%w: %d tuples on a %d-point grid exceed %d samples", ErrInvalidConfig, len(cfg.Dists), grid, maxGridSamples)
+	}
+	if cfg.Build.ProbEpsilon < 0 {
+		return nil, fmt.Errorf("%w: negative probability threshold %g", ErrInvalidConfig, cfg.Build.ProbEpsilon)
 	}
 	applyDefaults(cfg)
 	if cfg.Reliability <= 0 || cfg.Reliability > 1 {

@@ -339,6 +339,56 @@ func TestRestoreBoundsRNGReplay(t *testing.T) {
 	}
 }
 
+// TestValidateBoundsGrid: the build grid is checked before anything is
+// sampled on it. None of these configurations may reach an allocation: the
+// last one would sample 257 tuples on 65,536 points (270 MB of rows).
+func TestValidateBoundsGrid(t *testing.T) {
+	ds := testDists(t, 5, 2)
+	wide := make([]dist.Distribution, 257)
+	for i := range wide {
+		wide[i] = ds[i%len(ds)]
+	}
+	for name, cfg := range map[string]Config{
+		"negative grid":    {Dists: ds, K: 2, Budget: 4, Build: tpo.BuildOptions{GridSize: -1}},
+		"grid over bound":  {Dists: ds, K: 2, Budget: 4, Build: tpo.BuildOptions{GridSize: maxGridSize + 1}},
+		"samples over cap": {Dists: wide, K: 2, Budget: 4, Build: tpo.BuildOptions{GridSize: maxGridSize}},
+		"negative epsilon": {Dists: ds, K: 2, Budget: 4, Build: tpo.BuildOptions{ProbEpsilon: -1e-9}},
+	} {
+		for _, start := range []func(Config) (*Session, error){New, NewTransient} {
+			if _, err := start(cfg); !errors.Is(err, ErrInvalidConfig) {
+				t.Errorf("%s: err = %v, want ErrInvalidConfig", name, err)
+			}
+		}
+	}
+
+	// The same bounds hold for a checkpoint's configuration.
+	s, err := New(Config{Dists: ds, K: 2, Budget: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := s.Checkpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for name, mutate := range map[string]func(*configJSON){
+		"grid over bound":  func(c *configJSON) { c.GridSize = maxGridSize + 1 },
+		"negative epsilon": func(c *configJSON) { c.ProbEpsilon = -1 },
+	} {
+		var env envelope
+		if err := json.Unmarshal(buf.Bytes(), &env); err != nil {
+			t.Fatal(err)
+		}
+		mutate(&env.Config)
+		b, err := json.Marshal(&env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Restore(bytes.NewReader(b), nil); !errors.Is(err, ErrInvalidConfig) {
+			t.Errorf("restore with %s: err = %v, want ErrInvalidConfig", name, err)
+		}
+	}
+}
+
 // TestRestoreRejectsPendingOverBudget: a crafted checkpoint whose pending
 // list exceeds the remaining budget is rejected — otherwise the restored
 // session would accept answers past Budget.

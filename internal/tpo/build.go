@@ -1,9 +1,11 @@
 package tpo
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"crowdtopk/internal/dist"
@@ -69,16 +71,23 @@ func (o BuildOptions) withDefaults() BuildOptions {
 // Construction parallelizes across disjoint subtrees when opt.Workers
 // permits; the result is byte-identical to the sequential build.
 func Build(ds []dist.Distribution, k int, opt BuildOptions) (*Tree, error) {
-	t, err := prepare(ds, k, opt)
+	// Extend is the only reader of the grid samples once construction is
+	// over, and it does not apply to a tree of depth K: the samples live in
+	// a pooled buffer for the duration of the build only.
+	samples, _ := samplePool.Get().(*[]float64)
+	if samples == nil {
+		samples = new([]float64)
+	}
+	defer samplePool.Put(samples)
+	t, err := prepare(ds, k, opt, samples)
 	if err != nil {
 		return nil, err
 	}
+	defer func() { t.pdfs, t.cdfs = nil, nil }()
 	t.opt = opt.withDefaults()
 	c0 := make([]float64, t.grid.Len())
-	for i := range c0 {
-		c0[i] = 1
-	}
-	root := buildJob{node: t.Root, c: c0, remaining: allRemaining(len(ds))}
+	fill(c0, 1)
+	root := buildJob{node: t.Root, c: c0, top: len(c0) - 1, remaining: allRemaining(len(ds))}
 	if err := expandAll(t, t.opt, []buildJob{root}, k); err != nil {
 		return nil, err
 	}
@@ -94,8 +103,13 @@ func Build(ds []dist.Distribution, k int, opt BuildOptions) (*Tree, error) {
 // Build — a quadrature diagnostic that should be within grid error of 1.
 func (t *Tree) BuildMass() float64 { return t.buildMass }
 
-// prepare validates inputs and precomputes the shared grid samples.
-func prepare(ds []dist.Distribution, k int, opt BuildOptions) (*Tree, error) {
+// samplePool recycles Build's grid samples, one buffer per build.
+var samplePool sync.Pool // *[]float64
+
+// prepare validates inputs and precomputes the shared grid samples and
+// their nonzero windows. The samples are laid out in *samples when it is
+// non-nil (grown as needed), and in a fresh allocation otherwise.
+func prepare(ds []dist.Distribution, k int, opt BuildOptions, samples *[]float64) (*Tree, error) {
 	if len(ds) == 0 {
 		return nil, fmt.Errorf("%w: empty dataset", ErrInvalidInput)
 	}
@@ -120,12 +134,55 @@ func prepare(ds []dist.Distribution, k int, opt BuildOptions) (*Tree, error) {
 		grid:  grid,
 		pdfs:  make([][]float64, len(ds)),
 		cdfs:  make([][]float64, len(ds)),
+		wins:  make([]sampleWindow, len(ds)),
+	}
+	gl := grid.Len()
+	var buf []float64
+	if samples != nil && cap(*samples) >= 2*len(ds)*gl {
+		buf = (*samples)[:2*len(ds)*gl]
+	} else {
+		buf = make([]float64, 2*len(ds)*gl)
+		if samples != nil {
+			*samples = buf
+		}
 	}
 	for i, d := range ds {
-		t.pdfs[i] = grid.Sample(d.PDF)
-		t.cdfs[i] = grid.Sample(d.CDF)
+		pdf, cdf := buf[2*i*gl:(2*i+1)*gl:(2*i+1)*gl], buf[(2*i+1)*gl:(2*i+2)*gl:(2*i+2)*gl]
+		for j, x := range grid.Points() {
+			pdf[j], cdf[j] = d.PDF(x), d.CDF(x)
+		}
+		t.pdfs[i], t.cdfs[i], t.wins[i] = pdf, cdf, windowOf(pdf, cdf)
 	}
 	return t, nil
+}
+
+// sampleWindow bounds where a tuple's grid samples can be nonzero:
+// pdf[i] == 0 outside [pdfLo, pdfHi] and cdf[i] == 0 below cdfLo. The bounds
+// come from the sampled arrays, not from Support, so they are exact for the
+// values the kernel multiplies. A PDF with no nonzero sample has pdfLo > pdfHi.
+type sampleWindow struct{ pdfLo, pdfHi, cdfLo int }
+
+func windowOf(pdf, cdf []float64) sampleWindow {
+	w := sampleWindow{pdfLo: len(pdf), pdfHi: -1, cdfLo: len(cdf)}
+	for i := range pdf {
+		if pdf[i] != 0 {
+			w.pdfLo = i
+			break
+		}
+	}
+	for i := len(pdf) - 1; i >= 0; i-- {
+		if pdf[i] != 0 {
+			w.pdfHi = i
+			break
+		}
+	}
+	for i := range cdf {
+		if cdf[i] != 0 {
+			w.cdfLo = i
+			break
+		}
+	}
+	return w
 }
 
 func allRemaining(n int) []int {
@@ -143,6 +200,7 @@ func allRemaining(n int) []int {
 type buildJob struct {
 	node      *Node
 	c         []float64
+	top       int // c[i] == 0 for every i > top
 	remaining []int
 }
 
@@ -165,13 +223,14 @@ func expandAll(t *Tree, opt BuildOptions, jobs []buildJob, k int) error {
 	}
 	if workers > 1 {
 		// Widen the frontier one level at a time until there is enough
-		// independent work to occupy the pool. Frontier chains are owned
-		// copies, so the jobs outlive the builder's scratch.
+		// independent work to occupy the pool. Frontier chains live in
+		// fb's scratch, which is released only once every job has expanded.
 		fb := newBuilder(t, opt, leaves)
+		defer fb.release()
 		for len(jobs) > 0 && len(jobs) < frontierFactor*workers {
 			var next []buildJob
 			for _, j := range jobs {
-				if err := fb.expand(j.node, j.c, j.remaining, k, &next); err != nil {
+				if err := fb.expand(j.node, j.c, j.top, j.remaining, k, &next); err != nil {
 					return err
 				}
 			}
@@ -179,23 +238,33 @@ func expandAll(t *Tree, opt BuildOptions, jobs []buildJob, k int) error {
 		}
 	}
 	builders := make([]*builder, workers)
+	defer releaseAll(builders)
 	return par.FirstError(par.For(len(jobs), workers, func(w, i int) error {
 		if builders[w] == nil {
 			builders[w] = newBuilder(t, opt, leaves)
 		}
 		j := jobs[i]
-		return builders[w].expand(j.node, j.c, j.remaining, k, nil)
+		return builders[w].expand(j.node, j.c, j.top, j.remaining, k, nil)
 	}))
 }
 
-// builder carries one worker's per-depth scratch buffers so a full subtree
-// DFS allocates O(K·N·G) once instead of per node. Builders are never shared
-// between goroutines; the only cross-worker state is the leaf budget.
+// builder carries one worker's scratch so a full subtree DFS allocates
+// O(K·N·G) once instead of per node. Builders are never shared between
+// goroutines; the only cross-worker state is the leaf budget. The scratch
+// itself outlives the builder: release hands it to the next build on the
+// same grid length.
 type builder struct {
-	t       *Tree
-	opt     BuildOptions
-	leaves  *atomic.Int64 // shared across the workers of one Build/Extend
-	scratch []*depthScratch
+	t      *Tree
+	opt    BuildOptions
+	leaves *atomic.Int64 // shared across the workers of one Build/Extend
+	*scratch
+}
+
+type scratch struct {
+	depths    []*depthScratch
+	chain     []float64   // childrenOf's rebuilt survival chain
+	jobChains [][]float64 // frontier jobs' survival chains
+	jobsUsed  int         // jobChains handed out since the builder was made
 }
 
 type depthScratch struct {
@@ -203,17 +272,61 @@ type depthScratch struct {
 	suffixProd [][]float64 // suffixProd[i] = Π_{j>=i} F_{remaining[j]}
 	integrand  []float64
 	childC     []float64
+	rest       []int // the recursing child's remaining tuples
+}
+
+// scratchPools holds one sync.Pool of *scratch per grid length. A
+// catalog-shape build (N=24, K=5, 1,024 points) needs about 1.9 MB of
+// product rows; pooling them keeps a server that builds a tree per session
+// from turning that into garbage-collector work.
+var scratchPools sync.Map // int → *sync.Pool
+
+func scratchPool(gridLen int) *sync.Pool {
+	if p, ok := scratchPools.Load(gridLen); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := scratchPools.LoadOrStore(gridLen, new(sync.Pool))
+	return p.(*sync.Pool)
 }
 
 func newBuilder(t *Tree, opt BuildOptions, leaves *atomic.Int64) *builder {
-	return &builder{t: t, opt: opt, leaves: leaves}
+	s, _ := scratchPool(t.grid.Len()).Get().(*scratch)
+	if s == nil {
+		s = &scratch{}
+	}
+	return &builder{t: t, opt: opt, leaves: leaves, scratch: s}
+}
+
+// release returns the builder's scratch to its pool; neither the builder
+// nor any chain it handed out may be used afterwards.
+func (b *builder) release() {
+	b.jobsUsed = 0
+	scratchPool(b.t.grid.Len()).Put(b.scratch)
+	b.scratch = nil
+}
+
+// jobChain hands out a survival chain for a frontier job.
+func (b *builder) jobChain() []float64 {
+	if b.jobsUsed == len(b.jobChains) {
+		b.jobChains = append(b.jobChains, make([]float64, b.t.grid.Len()))
+	}
+	b.jobsUsed++
+	return b.jobChains[b.jobsUsed-1]
+}
+
+func releaseAll(bs []*builder) {
+	for _, b := range bs {
+		if b != nil {
+			b.release()
+		}
+	}
 }
 
 func (b *builder) scratchAt(depth, nRemaining int) *depthScratch {
-	for len(b.scratch) <= depth {
-		b.scratch = append(b.scratch, &depthScratch{})
+	for len(b.depths) <= depth {
+		b.depths = append(b.depths, &depthScratch{})
 	}
-	s := b.scratch[depth]
+	s := b.depths[depth]
 	g := b.t.grid.Len()
 	for len(s.prefixProd) <= nRemaining {
 		s.prefixProd = append(s.prefixProd, make([]float64, g))
@@ -226,66 +339,98 @@ func (b *builder) scratchAt(depth, nRemaining int) *depthScratch {
 	return s
 }
 
-// expand materializes the children of n from its survival chain c and the
-// remaining candidate tuples, appending them to n.Children in candidate
-// order (which keeps the tree layout independent of goroutine scheduling),
-// and continues down to depth k. Depth-k children are leaves and counted
-// against the shared budget.
+// expand materializes the children of n from its survival chain c (zero
+// above index top) and the remaining candidate tuples, appending them to
+// n.Children in candidate order (which keeps the tree layout independent of
+// goroutine scheduling), and continues down to depth k. Depth-k children
+// are leaves and counted against the shared budget.
 //
-// When frontier is nil, expand recurses: the child survival chain
-// C'(x) = ∫_x^Hi f_id(y)·C(y) dy lives in this depth's scratch (the
-// recursive call only writes scratch at deeper levels and returns before
-// the next sibling overwrites it, so no copy is needed). When frontier is
-// non-nil, expand instead stops after this one level and appends each
-// non-leaf child — with a freshly allocated, job-owned chain — to *frontier
-// for a worker pool to pick up. The frontier mode is deliberately folded
-// into the same function (rather than an indirect descend callback) so the
-// grid-sized inner loops below stay directly optimizable: they are the
-// hottest code in the package.
-func (b *builder) expand(n *Node, c []float64, remaining []int, k int, frontier *[]buildJob) error {
-	g := b.t.grid
-	gl := g.Len()
+// Every grid loop is windowed. A candidate's integrand f_id·C·Π_{u≠id} F_u
+// is an exact zero below its first nonzero PDF sample and below the largest
+// first nonzero CDF sample among the other remaining tuples, and above its
+// last nonzero PDF sample and the chain's top. The exclude-one products are
+// read only inside the union of those windows, and the child chain
+// ∫_x^Hi f_id·C is zero above the child's window and constant below it.
+// Every skipped term is an exact zero, and adding an exact zero to the
+// Neumaier sum or to the running trapezoid total changes no bit, so the
+// tree equals the full-grid evaluation node for node and bit for bit.
+//
+// When frontier is nil, expand recurses: the child survival chain lives in
+// this depth's scratch (the recursive call only writes scratch at deeper
+// levels and returns before the next sibling overwrites it, so no copy is
+// needed). When frontier is non-nil, expand instead stops after this one
+// level and appends each non-leaf child — with a chain of its own from
+// jobChain — to *frontier for a worker pool to pick up. The frontier
+// mode is deliberately folded into the same function (rather than an
+// indirect descend callback) so the inner loops below stay directly
+// optimizable: they are the hottest code in the package.
+func (b *builder) expand(n *Node, c []float64, top int, remaining []int, k int, frontier *[]buildJob) error {
+	t := b.t
+	gl := t.grid.Len()
 	s := b.scratchAt(n.depth, len(remaining))
 
-	// Exclude-one CDF products over the remaining tuples.
-	for i := 0; i < gl; i++ {
-		s.prefixProd[0][i] = 1
-		s.suffixProd[len(remaining)][i] = 1
+	cdfLo1, cdfLo2, cdfLoOwner := topTwo(remaining, 0, func(id int) int { return t.wins[id].cdfLo })
+	window := func(id int) (lo, hi int) {
+		lo = cdfLo1
+		if id == cdfLoOwner {
+			lo = cdfLo2
+		}
+		w := t.wins[id]
+		return max(lo, w.pdfLo), min(w.pdfHi, top)
 	}
-	for ri, id := range remaining {
-		cdf := b.t.cdfs[id]
-		pp, prev := s.prefixProd[ri+1], s.prefixProd[ri]
-		for i := 0; i < gl; i++ {
-			pp[i] = prev[i] * cdf[i]
+
+	// Exclude-one CDF products over the remaining tuples, inside the union
+	// [ulo, uhi] of the candidate windows.
+	ulo, uhi := gl, -1
+	for _, id := range remaining {
+		if lo, hi := window(id); lo <= hi {
+			ulo, uhi = min(ulo, lo), max(uhi, hi)
 		}
 	}
-	for ri := len(remaining) - 1; ri >= 0; ri-- {
-		cdf := b.t.cdfs[remaining[ri]]
-		sp, next := s.suffixProd[ri], s.suffixProd[ri+1]
-		for i := 0; i < gl; i++ {
-			sp[i] = next[i] * cdf[i]
+	if ulo <= uhi {
+		fill(s.prefixProd[0][ulo:uhi+1], 1)
+		fill(s.suffixProd[len(remaining)][ulo:uhi+1], 1)
+		for ri, id := range remaining {
+			cdf := t.cdfs[id][ulo : uhi+1]
+			pp, prev := s.prefixProd[ri+1][ulo:uhi+1], s.prefixProd[ri][ulo:uhi+1]
+			for i := range pp {
+				pp[i] = prev[i] * cdf[i]
+			}
+		}
+		for ri := len(remaining) - 1; ri >= 0; ri-- {
+			cdf := t.cdfs[remaining[ri]][ulo : uhi+1]
+			sp, next := s.suffixProd[ri][ulo:uhi+1], s.suffixProd[ri+1][ulo:uhi+1]
+			for i := range sp {
+				sp[i] = next[i] * cdf[i]
+			}
 		}
 	}
 
 	// Fast support filter: a candidate must be able to exceed every other
 	// remaining tuple's lower bound.
-	maxLo1, maxLo2 := maxTwoLowerBounds(b.t.Dists, remaining)
-
-	loOwner := loBoundOwner(b.t.Dists, remaining)
+	maxLo1, maxLo2, loOwner := topTwo(remaining, math.Inf(-1), func(id int) float64 {
+		lo, _ := t.Dists[id].Support()
+		return lo
+	})
 	for ri, id := range remaining {
-		_, hi := b.t.Dists[id].Support()
+		_, hiS := t.Dists[id].Support()
 		bound := maxLo1
 		if id == loOwner {
 			bound = maxLo2
 		}
-		if hi <= bound {
+		if hiS <= bound {
 			continue // cannot be the maximum of the remaining set
 		}
-		pdf := b.t.pdfs[id]
-		for i := 0; i < gl; i++ {
-			s.integrand[i] = pdf[i] * c[i] * s.prefixProd[ri][i] * s.suffixProd[ri+1][i]
+		pdf := t.pdfs[id]
+		p := 0.0 // the integral of an all-zero integrand
+		if lo, hi := window(id); lo <= hi {
+			in := s.integrand[lo : hi+1]
+			f, cw, pp, sp := pdf[lo:hi+1], c[lo:hi+1], s.prefixProd[ri][lo:hi+1], s.suffixProd[ri+1][lo:hi+1]
+			for i := range in {
+				in[i] = f[i] * cw[i] * pp[i] * sp[i]
+			}
+			p = trapezoidWindow(t.grid, s.integrand, lo, hi)
 		}
-		p := g.Trapezoid(s.integrand)
 		if p <= b.opt.ProbEpsilon {
 			continue
 		}
@@ -297,60 +442,102 @@ func (b *builder) expand(n *Node, c []float64, remaining []int, k int, frontier 
 			}
 			continue
 		}
+		childC := s.childC
 		if frontier != nil {
-			childC := make([]float64, gl)
-			for i := 0; i < gl; i++ {
-				childC[i] = pdf[i] * c[i]
-			}
-			g.CumTrapezoidRight(childC, childC)
-			*frontier = append(*frontier, buildJob{child, childC, excluding(remaining, ri)})
+			childC = b.jobChain()
+		}
+		childTop := chainInto(t.grid, childC, pdf, c, t.wins[id].pdfLo, min(t.wins[id].pdfHi, top))
+		if frontier != nil {
+			rest := excluding(make([]int, 0, len(remaining)-1), remaining, ri)
+			*frontier = append(*frontier, buildJob{child, childC, childTop, rest})
 			continue
 		}
-		childC := s.childC
-		for i := 0; i < gl; i++ {
-			childC[i] = pdf[i] * c[i]
-		}
-		g.CumTrapezoidRight(childC, childC)
-		if err := b.expand(child, childC, excluding(remaining, ri), k, nil); err != nil {
+		s.rest = excluding(s.rest, remaining, ri)
+		if err := b.expand(child, childC, childTop, s.rest, k, nil); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// maxTwoLowerBounds returns the largest and second-largest support lower
-// bounds among the remaining tuples.
-func maxTwoLowerBounds(ds []dist.Distribution, remaining []int) (float64, float64) {
-	m1, m2 := math.Inf(-1), math.Inf(-1)
-	for _, id := range remaining {
-		lo, _ := ds[id].Support()
-		if lo > m1 {
-			m2 = m1
-			m1 = lo
-		} else if lo > m2 {
-			m2 = lo
-		}
+// trapezoidWindow is g.Trapezoid(ys) for samples that are exact zeros
+// outside [lo, hi] (lo <= hi). It zeroes the two neighbours of the window
+// in ys and sums the full rule's terms that touch the window, in the full
+// rule's order and with its expression; every other term is (0+0)/2·step.
+func trapezoidWindow(g *numeric.Grid, ys []float64, lo, hi int) float64 {
+	if lo > 0 {
+		lo--
+		ys[lo] = 0
 	}
-	return m1, m2
+	if hi < len(ys)-1 {
+		hi++
+		ys[hi] = 0
+	}
+	var acc numeric.KahanSum
+	for i := lo + 1; i <= hi; i++ {
+		acc.Add((ys[i-1] + ys[i]) / 2 * g.Step)
+	}
+	return acc.Sum()
 }
 
-// loBoundOwner returns the id of the remaining tuple holding the largest
-// lower bound (first on ties).
-func loBoundOwner(ds []dist.Distribution, remaining []int) int {
-	best, owner := math.Inf(-1), -1
-	for _, id := range remaining {
-		lo, _ := ds[id].Support()
-		if lo > best {
-			best, owner = lo, id
-		}
+// chainInto writes into dst the survival chain g.CumTrapezoidRight(pdf·c)
+// for a product that is an exact zero outside [lo, hi], and returns the
+// chain's top: dst[i] == 0 for i > top. It evaluates the product and the
+// running total only from hi down to lo-1; above that the full rule's total
+// is still +0, and below it every term is (0+0)/2·step, so the total holds.
+// dst may alias c.
+func chainInto(g *numeric.Grid, dst, pdf, c []float64, lo, hi int) (top int) {
+	if lo > hi {
+		clear(dst)
+		return -1
 	}
-	return owner
+	n := len(dst)
+	i, next := hi, 0.0 // next is the product at i+1
+	if hi == n-1 {
+		next = pdf[hi] * c[hi]
+		dst[hi] = 0
+		i--
+	}
+	clear(dst[hi+1:])
+	acc := 0.0
+	stop := max(lo-1, 0)
+	for ; i >= stop; i-- {
+		cur := pdf[i] * c[i]
+		acc += (cur + next) / 2 * g.Step
+		next = cur
+		dst[i] = acc
+	}
+	fill(dst[:stop], acc)
+	return hi
 }
 
-func excluding(xs []int, i int) []int {
-	out := make([]int, 0, len(xs)-1)
-	out = append(out, xs[:i]...)
-	return append(out, xs[i+1:]...)
+func fill(xs []float64, v float64) {
+	for i := range xs {
+		xs[i] = v
+	}
+}
+
+// topTwo returns the largest and second-largest key(id) over ids (floor
+// where there are fewer) and the first id holding the largest. A candidate
+// in ids compares against the largest key among the others: m2 if it is
+// the owner, m1 otherwise.
+func topTwo[T cmp.Ordered](ids []int, floor T, key func(id int) T) (m1, m2 T, owner int) {
+	m1, m2, owner = floor, floor, -1
+	for _, id := range ids {
+		switch v := key(id); {
+		case owner < 0 || v > m1:
+			m2, m1, owner = m1, v, id
+		case v > m2:
+			m2 = v
+		}
+	}
+	return m1, m2, owner
+}
+
+// excluding writes xs without its i-th element into dst's storage.
+func excluding(dst, xs []int, i int) []int {
+	dst = append(dst[:0], xs[:i]...)
+	return append(dst, xs[i+1:]...)
 }
 
 // LeafMass returns the sum of the current leaf probabilities (1 after any

@@ -105,7 +105,7 @@ func FromLeafSet(ds []dist.Distribution, k int, ls *LeafSet, opt BuildOptions) (
 	if ls.K < 1 || ls.K > k {
 		return nil, fmt.Errorf("%w: leaf set depth %d outside [1, K=%d]", ErrInvalidInput, ls.K, k)
 	}
-	t, err := prepare(ds, k, opt)
+	t, err := prepare(ds, k, opt, nil)
 	if err != nil {
 		return nil, err
 	}

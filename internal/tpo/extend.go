@@ -14,7 +14,7 @@ import (
 // question rounds and pruning, instead of paying the full depth-K
 // construction up front.
 func StartIncremental(ds []dist.Distribution, k int, opt BuildOptions) (*Tree, error) {
-	t, err := prepare(ds, k, opt)
+	t, err := prepare(ds, k, opt, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -72,6 +72,7 @@ func (t *Tree) Extend() error {
 		staged[i], err = builders[w].childrenOf(jobs[i].path, jobs[i].leaf.Prob)
 		return err
 	})
+	releaseAll(builders)
 	if err := par.FirstError(errs); err != nil {
 		return err
 	}
@@ -86,45 +87,45 @@ func (t *Tree) Extend() error {
 // parent's posterior mass split by the relative raw extension probabilities.
 // The survival chain C is rebuilt by walking the path from the root, so the
 // method works on pruned and reweighted trees whose stored chains are gone.
+// The rebuild is windowed like expand's chains: each step evaluates only
+// where f_id·C can be nonzero.
 func (b *builder) childrenOf(path rank.Ordering, parentPosterior float64) ([]*Node, error) {
-	g := b.t.grid
-	gl := g.Len()
-	c := make([]float64, gl)
-	for i := range c {
-		c[i] = 1
+	t := b.t
+	gl := t.grid.Len()
+	if len(b.chain) != gl {
+		b.chain = make([]float64, gl)
 	}
+	c, top := b.chain, gl-1
+	fill(c, 1)
+	inPath := make([]bool, len(t.Dists))
 	for _, id := range path {
-		pdf := b.t.pdfs[id]
-		for i := 0; i < gl; i++ {
-			c[i] *= pdf[i]
-		}
-		g.CumTrapezoidRight(c, c)
-	}
-	inPath := make(map[int]bool, len(path))
-	for _, id := range path {
+		w := t.wins[id]
+		top = chainInto(t.grid, c, t.pdfs[id], c, w.pdfLo, min(w.pdfHi, top))
 		inPath[id] = true
 	}
-	remaining := make([]int, 0, len(b.t.Dists)-len(path))
-	for id := range b.t.Dists {
-		if !inPath[id] {
+	remaining := make([]int, 0, len(t.Dists)-len(path))
+	for id, in := range inPath {
+		if !in {
 			remaining = append(remaining, id)
 		}
 	}
 
 	parent := &Node{Tuple: -1, Prob: parentPosterior, depth: len(path)}
 	// expand with k = depth+1 materializes exactly one level.
-	if err := b.expand(parent, c, remaining, len(path)+1, nil); err != nil {
+	if err := b.expand(parent, c, top, remaining, len(path)+1, nil); err != nil {
 		return nil, err
 	}
 	if len(parent.Children) == 0 {
 		// Every extension fell below ProbEpsilon: the prefix itself carries
 		// tiny raw mass, so its children's absolute masses vanish even
-		// though they must sum to the parent's. Retry thresholdless with a
-		// dedicated builder (same tree, same shared leaf budget) — the
-		// relative split is what matters here.
-		noEps := newBuilder(b.t, b.opt, b.leaves)
-		noEps.opt.ProbEpsilon = 1e-300
-		if err := noEps.expand(parent, c, remaining, len(path)+1, nil); err != nil {
+		// though they must sum to the parent's. Retry thresholdless (same
+		// tree, same shared leaf budget) — the relative split is what
+		// matters here.
+		eps := b.opt.ProbEpsilon
+		b.opt.ProbEpsilon = 1e-300
+		err := b.expand(parent, c, top, remaining, len(path)+1, nil)
+		b.opt.ProbEpsilon = eps
+		if err != nil {
 			return nil, err
 		}
 	}

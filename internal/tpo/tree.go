@@ -46,8 +46,9 @@ type Tree struct {
 	Dists []dist.Distribution
 
 	grid *numeric.Grid
-	pdfs [][]float64 // per-tuple PDF samples on grid
-	cdfs [][]float64 // per-tuple CDF samples on grid
+	pdfs [][]float64    // per-tuple PDF samples on grid; nil after Build
+	cdfs [][]float64    // per-tuple CDF samples on grid; nil after Build
+	wins []sampleWindow // per-tuple nonzero bounds of pdfs and cdfs
 
 	depth     int          // current construction depth (== K after a full Build)
 	buildMass float64      // unnormalized mass found by Build, ≈1
@@ -273,6 +274,7 @@ func (t *Tree) Clone() *Tree {
 		grid:      t.grid,
 		pdfs:      t.pdfs,
 		cdfs:      t.cdfs,
+		wins:      t.wins,
 		depth:     t.depth,
 		buildMass: t.buildMass,
 		opt:       t.opt,
