@@ -1,8 +1,9 @@
 # Convenience targets for the reproduction. The benchmarks regenerate the
 # paper's figures; `bench` records the selection + Fig-1(b) families (the
 # residual-sweep hot path), the persist family (WAL append, snapshot
-# compaction, cold recovery), the incremental family (live-engine
-# per-answer update vs. full rebuild) and the tree-build family (TPO build
+# compaction, cold recovery), the answer-path families (a served session's
+# SubmitAnswer per strategy; live-engine reconcile-and-sweep vs. full
+# rebuild per answer) and the tree-build family (TPO build
 # at the serving workloads' shapes, worker scaling, Extend) to
 # BENCH_selection.json via cmd/benchreport so before/after numbers live
 # next to the code.

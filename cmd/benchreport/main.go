@@ -28,11 +28,12 @@ import (
 
 // defaultBench covers the residual-sweep primitives, the end-to-end figure
 // benchmark they dominate, the durability family (WAL append, snapshot
-// compaction, cold recovery), the incremental family (live-engine
-// per-answer update vs. full rebuild at several leaf-set sizes), and the
+// compaction, cold recovery), the answer path (a served session's
+// SubmitAnswer per strategy, and the live engine's reconcile-and-sweep vs.
+// a full rebuild on min-kill sequences at several leaf-set sizes), and the
 // tree build a session pays on create (full builds at the serving
 // workloads' shapes, worker scaling, level-wise Extend).
-const defaultBench = "BenchmarkSelectionPrimitives|BenchmarkFig1b|BenchmarkPersist|BenchmarkIncremental|BenchmarkTPOBuild|BenchmarkBuildWorkers|BenchmarkExtendWorkers"
+const defaultBench = "BenchmarkSelectionPrimitives|BenchmarkFig1b|BenchmarkPersist|BenchmarkSessionAnswer|BenchmarkIncremental|BenchmarkTPOBuild|BenchmarkBuildWorkers|BenchmarkExtendWorkers"
 
 // defaultPkgs are the packages holding those families (comma-separated for
 // the -pkg flag; benchmark names are globally unique, so one report file

@@ -25,10 +25,10 @@ import (
 // Arena is a cache-friendly snapshot of a leaf set. Partition cells
 // reference leaves by index into it. Paths, dense ids, prefix groups and
 // distance rows are immutable for the arena's lifetime; the weight vector is
-// not — the live engine (live.go) tombstones pruned leaves by zeroing w[i]
-// and overwrites survivor weights in place, which every consumer treats as
-// equivalent to the leaf being absent (zero weights are skipped by splits,
-// aggregates, argmaxes, and are exact no-ops under compensated summation).
+// not — when a later leaf set holds the same leaves, the live engine
+// (live.go) overwrites the weights in place. When it holds fewer, the live
+// engine builds a new arena over them, filtering the per-leaf arrays of this
+// one.
 type Arena struct {
 	k, n  int
 	flat  []int           // n·k tuple ids; leaf i is flat[i*k : (i+1)*k]
@@ -69,19 +69,7 @@ func NewArena(ls *tpo.LeafSet) *Arena {
 		}
 	}
 	a := &Arena{k: k, n: n}
-	if flat, ok := ls.Flat(); ok {
-		a.flat = flat // tree snapshots are already contiguous
-	} else {
-		a.flat = make([]int, n*k)
-		for i, p := range ls.Paths {
-			copy(a.flat[i*k:], p)
-		}
-	}
-	a.w = append([]float64(nil), ls.W...)
-	a.paths = make([]rank.Ordering, n)
-	for i := 0; i < n; i++ {
-		a.paths[i] = rank.Ordering(a.flat[i*k : (i+1)*k : (i+1)*k])
-	}
+	a.adoptLeaves(ls)
 	a.tuples = tupleSet(a.flat, ls)
 	a.tidx = make(map[int]int32, len(a.tuples))
 	for i, id := range a.tuples {
@@ -92,6 +80,26 @@ func NewArena(ls *tpo.LeafSet) *Arena {
 		a.dense[i] = a.tidx[id]
 	}
 	return a
+}
+
+// adoptLeaves points the arena's paths at ls's leaves, in ls's flat backing
+// when it has one (tree snapshots are already contiguous), and copies its
+// weights. ls must be rectangular with a.k entries per path.
+func (a *Arena) adoptLeaves(ls *tpo.LeafSet) {
+	n, k := ls.Len(), a.k
+	if flat, ok := ls.Flat(); ok {
+		a.flat = flat
+	} else {
+		a.flat = make([]int, n*k)
+		for i, p := range ls.Paths {
+			copy(a.flat[i*k:], p)
+		}
+	}
+	a.w = append([]float64(nil), ls.W...)
+	a.paths = make([]rank.Ordering, n)
+	for i := range a.paths {
+		a.paths[i] = rank.Ordering(a.flat[i*k : (i+1)*k : (i+1)*k])
+	}
 }
 
 // tupleSet returns the sorted distinct ids in flat — rank.Union semantics
@@ -421,12 +429,13 @@ func (a *Arena) DistRow(ref int32, penalty float64) []float64 {
 	return row
 }
 
-// migrateRowsFrom seeds a compacted arena's distance-row cache from its
+// migrateRowsFrom seeds a filtered arena's distance-row cache from its
 // predecessor. Distances depend only on the immutable leaf orderings, and
 // fillDistRow computes each leaf's entry independently, so a surviving
 // reference's row filtered to surviving slots is float-for-float the row a
 // fresh computation would produce. newSlot maps predecessor slots to
-// compacted slots, -1 for tombstones; rows whose reference died are dropped.
+// filtered slots, -1 for dropped leaves; rows whose reference was dropped
+// are dropped too.
 func (a *Arena) migrateRowsFrom(old *Arena, newSlot []int32) {
 	old.rowMu.Lock()
 	rows, pen := old.rows, old.rowPenalty

@@ -25,40 +25,31 @@
 //
 // Building that index is O(leaves·pairs) — too much to repeat per answer
 // when serving. A LiveEngine keeps one ResidualEngine alive across selection
-// rounds and applies accepted answers as in-place updates instead:
+// rounds and reconciles it with each leaf set a strategy is handed:
 //
-//   - Pruned leaves are tombstoned: the slot stays (paths, classification
-//     bytes, prefix groups, distance rows remain valid) and the weight is
-//     zeroed. Every consumer already treats zero-weight leaves as absent,
-//     and compensated summation over interleaved zeros is an exact no-op,
-//     so a tombstoned arena evaluates identically to a fresh compacted one.
-//   - Survivor weights are overwritten with the tree's post-renormalization
-//     values verbatim.
-//   - For trusted (reliability-1) answers the per-class aggregates are
-//     patched: removed leaves' contributions are subtracted, the survivor
-//     sums are rescaled by the common renormalization factor, and cached
-//     argmaxes are resynced (rescanning only classes whose argmax died).
-//     Noisy answers reweight every leaf individually, so they take a full
-//     aggregate recompute — still far cheaper than re-snapshotting and
-//     re-classifying.
+//   - Answers only condition the tree. The engine is not touched until the
+//     next sweep, so offline batches, which never sweep again, pay nothing
+//     per answer, and an incr round catches up in one pass however many
+//     answers it absorbed.
+//   - Every leaf set a session produces after an answer is a subsequence of
+//     the one before: both come from one tree's leaf enumeration with
+//     distinct paths. One forward walk pairs them.
+//   - When leaves were dropped, the per-leaf arrays — dense ids,
+//     classification bytes, cached distance rows — are filtered through
+//     that pairing, and paths come from the new leaf set's flat backing.
+//     All of them are functions of the paths alone, so nothing is
+//     re-derived and the classification is paid once per engine lifetime.
+//   - The weights are always adopted from the new leaf set, and the
+//     per-class aggregates are recomputed from them in the order a fresh
+//     build uses.
+//   - A leaf set the walk cannot pair completely, such as an incr tree one
+//     level deeper, gets a fresh build.
 //
-// Aggregate deltas are resynced in full every 32 patches (and whenever an
-// update turns out not to be the common-scale renormalization the patch
-// assumes), keeping float drift orders of magnitude below the engine's 1e-12
-// selection tie epsilon. Renormalization rounding can merge near-equal
-// survivor weights into exact ties; the affected class maxima are rescanned
-// in place rather than forcing a resync. Once tombstones exceed a quarter of
-// the arena the engine lazily compacts by filtering every per-leaf array
-// through the alive-slot mapping — the question universe, π, classification
-// bytes and cached distance rows all survive the renumbering, so compaction
-// re-derives nothing. Either way, selection output is byte-identical
-// to a from-scratch engine — the cross-check suite in live_test.go pins this
-// for all strategies across interleaved answer sequences.
-//
-// Sessions own a LiveEngine and hand it to strategies via Context.Live; the
-// session's answer path keeps it in sync through LiveEngine.Sync. ORA
-// measures bypass the live path (their rank-aggregation input enumerates
-// every view leaf, so tombstones are not transparent to them). Process-wide
-// activity counters are exported through LiveEngineStats for the serving
-// layer's /v1/stats.
+// The reconciled engine holds exactly the leaves and weights a fresh build
+// would, so selection output is byte-identical to a from-scratch engine —
+// the cross-check suite in live_test.go pins this for all strategies and
+// measures across interleaved answer sequences. Sessions own a LiveEngine
+// and hand it to strategies via Context.Live. Process-wide activity
+// counters are exported through LiveEngineStats for the serving layer's
+// /v1/stats.
 package selection

@@ -1,23 +1,25 @@
 package selection
 
 import (
-	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"crowdtopk/internal/dist"
 	"crowdtopk/internal/rank"
 	"crowdtopk/internal/tpo"
 	"crowdtopk/internal/uncertainty"
 )
 
-// The live engine applies answers as in-place updates (tombstones + aggregate
-// patches) instead of rebuilding; these tests pin that every strategy selects
+// The live engine reconciles its held arena with each leaf set it is handed
+// instead of rebuilding; these tests pin that every strategy selects
 // byte-identical batches through a live context and a from-scratch engine
 // across interleaved answer sequences — trusted prunes, noisy reweights,
-// compactions, and out-of-band tree changes included.
+// several answers between rounds, and deeper incremental trees included.
 
 // liveHarness owns one tree and one LiveEngine, mirroring how a session
-// drives them: snapshot per round, Sync after every accepted answer.
+// drives them: answers condition only the tree, and each round hands the
+// engine a fresh snapshot.
 type liveHarness struct {
 	tree *tpo.Tree
 	le   *LiveEngine
@@ -36,22 +38,20 @@ func (h *liveHarness) ctxs() (fresh, live *Context) {
 	return fresh, live
 }
 
-// applyTrusted prunes by a relevant answer and syncs the live engine.
+// applyTrusted prunes by a relevant answer.
 func (h *liveHarness) applyTrusted(t *testing.T, a tpo.Answer) {
 	t.Helper()
 	if err := h.tree.Prune(a); err != nil {
 		t.Fatalf("prune %v: %v", a, err)
 	}
-	h.le.Sync(context.Background(), h.tree, true)
 }
 
-// applyNoisy reweights by an answer with the given accuracy and syncs.
+// applyNoisy reweights by an answer with the given accuracy.
 func (h *liveHarness) applyNoisy(t *testing.T, a tpo.Answer, acc float64) {
 	t.Helper()
 	if err := h.tree.Reweight(a, acc); err != nil {
 		t.Fatalf("reweight %v: %v", a, err)
 	}
-	h.le.Sync(context.Background(), h.tree, false)
 }
 
 // checkStrategies runs the given strategies over the current snapshot through
@@ -160,25 +160,25 @@ func TestLiveStrategiesMatchFreshAcrossAnswers(t *testing.T) {
 		}
 	}
 	after := LiveEngineStats()
-	if after.Patches <= before.Patches {
-		t.Fatal("no in-place patches recorded: the live path never ran")
+	if after.Compactions <= before.Compactions {
+		t.Fatal("no reconcile dropped leaves: the live path never ran")
 	}
 	if after.Reuses <= before.Reuses {
 		t.Fatal("no engine reuses recorded: every round rebuilt from scratch")
 	}
 }
 
-// TestLiveNoisyReweightOnTombstonedArena is the seeded fuzz-style check for
-// noisy reweighting over an arena that already carries tombstones: a couple
-// of trusted prunes first, then noisy answers (accuracy < 1) interleaved
-// with more prunes, comparing strategy output against a from-scratch engine
+// TestLiveNoisyReweightOnFilteredArena is the seeded fuzz-style check for
+// noisy reweighting over an arena that was already filtered: a couple of
+// trusted prunes first, then noisy answers (accuracy < 1) interleaved with
+// more prunes, comparing strategy output against a from-scratch engine
 // after every update.
-func TestLiveNoisyReweightOnTombstonedArena(t *testing.T) {
+func TestLiveNoisyReweightOnFilteredArena(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		for _, m := range []uncertainty.Measure{uncertainty.Entropy{}, uncertainty.NewWeightedEntropy(0)} {
 			h := newLiveHarness(t, 900+seed, 7, 3, m)
 			rng := rand.New(rand.NewSource(seed))
-			// Attach the engine, then tombstone some slots.
+			// Attach the engine, then drop some leaves.
 			h.checkStrategies(t, m.Name(), false)
 			for i := 0; i < 2; i++ {
 				if a, ok := pickRelevant(h.tree.LeafSet(), rng); ok {
@@ -208,9 +208,9 @@ func TestLiveNoisyReweightOnTombstonedArena(t *testing.T) {
 	}
 }
 
-// TestLiveCompaction drives enough pruning answers through one engine to
-// cross the tombstone-density threshold and verifies the compacted engine
-// still matches a from-scratch build (and that compaction actually ran).
+// TestLiveCompaction drives pruning answers through one engine until a
+// reconcile drops leaves, and verifies the filtered engine still matches a
+// from-scratch build (and that the filter actually ran).
 func TestLiveCompaction(t *testing.T) {
 	before := LiveEngineStats()
 	compacted := false
@@ -236,10 +236,9 @@ func TestLiveCompaction(t *testing.T) {
 	}
 }
 
-// TestLiveEngineRebuildsOnUnsyncedTree pins the safety net: when the tree
-// changes without a Sync (an out-of-band prune), the held engine no longer
-// matches the snapshot and engineFor must rebuild instead of serving stale
-// state.
+// TestLiveEngineRebuildsOnUnsyncedTree pins that a prune the engine never
+// saw is never served stale: engineFor must replace the held engine, here by
+// filtering it to the survivors, and match a fresh build.
 func TestLiveEngineRebuildsOnUnsyncedTree(t *testing.T) {
 	h := newLiveHarness(t, 1300, 6, 3, uncertainty.Entropy{})
 	h.checkStrategies(t, "attach", false)
@@ -269,7 +268,7 @@ func TestLiveEngineInvalidate(t *testing.T) {
 		t.Fatal("engine did not attach")
 	}
 	h.le.Invalidate()
-	if h.le.eng != nil || h.le.snap != nil {
+	if h.le.eng != nil {
 		t.Fatal("Invalidate left state behind")
 	}
 	h.checkStrategies(t, "reattached", false)
@@ -278,17 +277,18 @@ func TestLiveEngineInvalidate(t *testing.T) {
 	}
 }
 
-// TestLiveEngineORABypass pins the measure gate: ORA's aggregation input is
-// not tombstone-transparent, so a live context under ORA must bypass the
-// held engine (never attach) while still returning correct batches.
-func TestLiveEngineORABypass(t *testing.T) {
+// TestLiveEngineORAMatchesFresh pins that ORA, whose aggregation input
+// enumerates every view leaf, can go through the live engine like every
+// other measure: a reconciled arena holds exactly the leaves a fresh build
+// would, so the engine attaches and matches fresh across answers.
+func TestLiveEngineORAMatchesFresh(t *testing.T) {
 	m := uncertainty.ORA{Penalty: rank.DefaultPenalty, Footrule: true}
 	h := newLiveHarness(t, 1500, 6, 3, m)
 	rng := rand.New(rand.NewSource(2))
 	for round := 0; round < 3; round++ {
 		h.checkStrategies(t, "ORA", false)
-		if h.le.eng != nil {
-			t.Fatal("live engine attached under a tombstone-unsafe measure")
+		if h.le.eng == nil {
+			t.Fatal("live engine did not attach under ORA")
 		}
 		a, ok := pickRelevant(h.tree.LeafSet(), rng)
 		if !ok {
@@ -298,8 +298,9 @@ func TestLiveEngineORABypass(t *testing.T) {
 	}
 }
 
-// TestLiveSyncNoEngineIsNoop pins the steady-state cost contract: Sync on a
-// detached engine does nothing (no snapshot is even taken).
+// TestLiveSyncNoEngineIsNoop pins that an answer applied before any round
+// attached an engine leaves it detached, and the first round then attaches
+// one that matches fresh.
 func TestLiveSyncNoEngineIsNoop(t *testing.T) {
 	h := newLiveHarness(t, 1600, 6, 3, uncertainty.Entropy{})
 	a, ok := pickRelevant(h.tree.LeafSet(), rand.New(rand.NewSource(3)))
@@ -307,8 +308,76 @@ func TestLiveSyncNoEngineIsNoop(t *testing.T) {
 		t.Fatal("no relevant question")
 	}
 	h.applyTrusted(t, a) // no engine held yet
-	if h.le.snap != nil {
-		t.Fatal("Sync snapshotted the tree with no engine attached")
+	if h.le.eng != nil {
+		t.Fatal("an answer attached an engine")
 	}
 	h.checkStrategies(t, "post-noop", false)
+}
+
+// TestLiveCatchesUpAfterBatchedAnswers applies several trusted and noisy
+// answers with no round in between — the shape of an incr round or an
+// offline batch — so the next round reconciles the engine with all of them
+// in one pass, for all 8 strategies.
+func TestLiveCatchesUpAfterBatchedAnswers(t *testing.T) {
+	for seed := int64(0); seed < 3; seed++ {
+		for _, m := range []uncertainty.Measure{uncertainty.Entropy{}, uncertainty.MPO{Penalty: rank.DefaultPenalty}} {
+			astar := m.Name() == "H"
+			h := newLiveHarness(t, 1700+seed, 7, 3, m)
+			rng := rand.New(rand.NewSource(seed))
+			h.checkStrategies(t, m.Name(), astar)
+			rebuilds := LiveEngineStats().Rebuilds
+			for batch := 0; batch < 2; batch++ {
+				for i := 0; i < 3; i++ {
+					a, ok := pickRelevant(h.tree.LeafSet(), rng)
+					if !ok {
+						break
+					}
+					if i == 1 {
+						h.applyNoisy(t, a, 0.8)
+					} else {
+						h.applyTrusted(t, a)
+					}
+				}
+				h.checkStrategies(t, fmt.Sprintf("%s/batch %d", m.Name(), batch), astar)
+			}
+			if LiveEngineStats().Rebuilds != rebuilds {
+				t.Fatalf("%s seed %d: a batched catch-up rebuilt instead of reconciling", m.Name(), seed)
+			}
+		}
+	}
+}
+
+// TestLiveEngineRebuildsAfterExtend attaches an engine to an incremental
+// tree, answers, and extends the tree by a level with no Invalidate, as an
+// incr round does: the deeper leaf set cannot pair with the held arena, so
+// the next round must rebuild and match a fresh engine.
+func TestLiveEngineRebuildsAfterExtend(t *testing.T) {
+	rng := rand.New(rand.NewSource(1800))
+	ds := make([]dist.Distribution, 7)
+	for i := range ds {
+		u, err := dist.NewUniformAround(float64(i)*0.5+rng.Float64()*0.3, 1.6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds[i] = u
+	}
+	tree, err := tpo.StartIncremental(ds, 3, tpo.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &liveHarness{tree: tree, le: NewLiveEngine(), m: uncertainty.Entropy{}}
+	h.checkStrategies(t, "depth 1", false)
+	for tree.Depth() < 3 {
+		if a, ok := pickRelevant(tree.LeafSet(), rng); ok {
+			h.applyTrusted(t, a)
+		}
+		held, rebuilds := h.le.eng, LiveEngineStats().Rebuilds
+		if err := tree.Extend(); err != nil {
+			t.Fatal(err)
+		}
+		h.checkStrategies(t, fmt.Sprintf("depth %d", tree.Depth()), false)
+		if h.le.eng == held || LiveEngineStats().Rebuilds == rebuilds {
+			t.Fatalf("depth %d: the engine was not rebuilt after Extend", tree.Depth())
+		}
+	}
 }

@@ -57,8 +57,8 @@ type Context struct {
 	// when Workers <= 0.
 	Pool *par.Budget
 	// Live optionally carries a session's live engine: strategies then
-	// reuse the residual engine it holds (kept current across answers by
-	// in-place updates) instead of rebuilding the consistency index from
+	// reuse the residual engine it holds, reconciled with the leaf set they
+	// were handed, instead of rebuilding the consistency index from
 	// scratch, and attach fresh builds to it for later rounds. nil keeps
 	// the stateless build-per-call behavior.
 	Live *LiveEngine

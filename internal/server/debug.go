@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -32,11 +33,15 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	f := obs.TraceFilter{Route: r.URL.Query().Get("route")}
 	if raw := r.URL.Query().Get("min_ms"); raw != "" {
 		ms, err := strconv.ParseFloat(raw, 64)
-		if err != nil || ms < 0 {
+		// ParseFloat accepts NaN and ±Inf, and a product past MaxInt64 ns
+		// converts to an arbitrary Duration that silently disables the
+		// filter; both are client errors.
+		ns := ms * float64(time.Millisecond)
+		if err != nil || !(ms >= 0) || ns >= math.MaxInt64 {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad min_ms %q", raw))
 			return
 		}
-		f.MinDuration = time.Duration(ms * float64(time.Millisecond))
+		f.MinDuration = time.Duration(ns)
 	}
 	if raw := r.URL.Query().Get("limit"); raw != "" {
 		v, err := strconv.Atoi(raw)

@@ -227,7 +227,7 @@ func TestDebugTracesDisabled(t *testing.T) {
 // TestDebugTracesBadParams pins the 400s for unparseable filters.
 func TestDebugTracesBadParams(t *testing.T) {
 	_, ts := tracedServer(t, server.Config{})
-	for _, q := range []string{"min_ms=abc", "min_ms=-1", "limit=0", "limit=x"} {
+	for _, q := range []string{"min_ms=abc", "min_ms=-1", "min_ms=NaN", "min_ms=Inf", "min_ms=1e300", "limit=0", "limit=x"} {
 		resp, err := ts.Client().Get(ts.URL + "/debug/traces?" + q)
 		if err != nil {
 			t.Fatal(err)

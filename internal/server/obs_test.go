@@ -209,6 +209,9 @@ func TestAdmissionMaxInflight(t *testing.T) {
 	// Hold the only slot: a create whose body never finishes arriving keeps
 	// its handler (and admission slot) pinned inside the JSON decoder.
 	pr, pw := io.Pipe()
+	// Runs before ts.Close on a failed test: the server cannot finish a
+	// request whose body never ends.
+	defer pw.CloseWithError(io.ErrUnexpectedEOF)
 	req, err := http.NewRequest("POST", ts.URL+"/v1/sessions", pr)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +226,16 @@ func TestAdmissionMaxInflight(t *testing.T) {
 	}()
 
 	// Wait until the stalled request occupies the slot, then expect a shed.
+	// /metrics bypasses admission, so polling it cannot take the slot; an
+	// API probe sent before the create is admitted could, and the create
+	// would then be the request shed.
 	deadline := time.Now().Add(5 * time.Second)
+	for extractValue(t, scrape(t, ts), "crowdtopk_admission_inflight") < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("stalled create never admitted")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 	for {
 		resp, err := ts.Client().Get(ts.URL + "/v1/stats")
 		if err != nil {

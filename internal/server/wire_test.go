@@ -200,7 +200,7 @@ func TestWireCompatibility(t *testing.T) {
 		"prewarm_pairs", "prewarm_ns")
 	wantKeys(t, "stats.pcache_window", sv["pcache_window"], "hits", "misses", "hit_rate")
 	wantKeys(t, "stats.selection_live", sv["selection_live"],
-		"reuses", "rebuilds", "patches", "resyncs", "compactions", "invalidations")
+		"reuses", "rebuilds", "compactions", "invalidations")
 
 	// GET /v1/sessions/{id}/checkpoint → the versioned envelope, with its
 	// optional sections (answers, pending) populated mid-query.

@@ -130,8 +130,6 @@ func (s *Service) registerCollectors() {
 			return []obs.Sample{
 				{Labels: []string{"reuse"}, Value: float64(c.Reuses)},
 				{Labels: []string{"rebuild"}, Value: float64(c.Rebuilds)},
-				{Labels: []string{"patch"}, Value: float64(c.Patches)},
-				{Labels: []string{"resync"}, Value: float64(c.Resyncs)},
 				{Labels: []string{"compaction"}, Value: float64(c.Compactions)},
 				{Labels: []string{"invalidation"}, Value: float64(c.Invalidations)},
 			}

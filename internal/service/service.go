@@ -508,8 +508,9 @@ type Stats struct {
 	// process-global: with several scrapers, each sees the interval since
 	// whoever asked last.
 	PCacheWindow pcache.WindowSnapshot `json:"pcache_window"`
-	// LiveEngine carries the incremental selection-engine counters: arena
-	// reuses vs rebuilds, delta patches, stat resyncs and compactions.
+	// LiveEngine carries the live selection-engine counters: arena reuses
+	// vs rebuilds, reuses that dropped leaves (compactions) and
+	// invalidations.
 	LiveEngine selection.LiveCounters `json:"selection_live"`
 }
 

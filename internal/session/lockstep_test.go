@@ -12,15 +12,16 @@ import (
 
 // These tests pin that the session's live-engine path stays in lockstep with
 // the raw answer transitions at every step — not just in the final result —
-// under the updates that stress the in-place arena: noisy reweighting
+// under the updates the engine reconciles with: noisy reweighting
 // (including answers against the current evidence) and trusted prunes with
 // absorbed contradictions.
 
 // TestNoisyLockstepEngineVsSession drives a noisy-reliability T1-on session
 // with seeded random answers while mirroring every transition through
 // applyAnswer on a twin tree with a stateless selection context. The
-// session (live arena, reweighted in place) and the mirror (fresh engine per
-// step) must ask the same question at every step and end in the same belief.
+// session (live arena, reconciled with each reweighted leaf set) and the
+// mirror (fresh engine per step) must ask the same question at every step
+// and end in the same belief.
 func TestNoisyLockstepEngineVsSession(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		ds := testDists(t, 6, 40+seed)
@@ -56,7 +57,7 @@ func TestNoisyLockstepEngineVsSession(t *testing.T) {
 			}
 			// Random side: roughly a third of the answers go against the
 			// currently heavier branch, so the Bayesian update re-raises
-			// down-weighted leaves on the session's tombstone-free reweights.
+			// down-weighted leaves the session's arena already holds.
 			a := tpo.Answer{Q: qs[0], Yes: rng.Intn(3) != 0}
 			if err := s.SubmitAnswer(a); err != nil {
 				t.Fatal(err)
@@ -88,12 +89,12 @@ func TestNoisyLockstepEngineVsSession(t *testing.T) {
 	}
 }
 
-// TestTrustedContradictionLockstep stresses absorbed contradictions on a
-// tombstoned arena: an offline TB-off batch is committed up front, random
-// trusted answers prune as they land, and later questions in the batch can
-// contradict every remaining ordering. The session must absorb exactly the
-// contradictions the answer transition reports and keep its belief identical
-// to the mirrored tree.
+// TestTrustedContradictionLockstep stresses absorbed contradictions while
+// the live arena lags the tree: an offline TB-off batch is committed up
+// front, random trusted answers prune as they land, and later questions in
+// the batch can contradict every remaining ordering. The session must absorb
+// exactly the contradictions the answer transition reports and keep its
+// belief identical to the mirrored tree.
 func TestTrustedContradictionLockstep(t *testing.T) {
 	sawContradiction := false
 	for seed := int64(0); seed < 6; seed++ {

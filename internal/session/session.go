@@ -139,7 +139,7 @@ type Session struct {
 	digest  string // content hash of cfg.Dists, stamped into checkpoints ("" when transient)
 
 	tree    *tpo.Tree
-	live    *selection.LiveEngine // selection engine kept current across answers
+	live    *selection.LiveEngine // selection engine reused across rounds
 	online  selection.Online      // non-nil for online algorithms
 	src     *CountingSource
 	rng     *rand.Rand
@@ -160,8 +160,9 @@ type Timings struct {
 	Build time.Duration
 	// Select covers the question-selection sweeps.
 	Select time.Duration
-	// Apply covers conditioning the tree (and the live selection engine)
-	// on accepted answers.
+	// Apply covers conditioning the tree on accepted answers. The live
+	// selection engine catches up with the tree at the next sweep, so that
+	// time lands in Select.
 	Apply time.Duration
 }
 
@@ -439,12 +440,11 @@ func (s *Session) finish(ctx context.Context) error {
 	}); err != nil {
 		return err
 	}
-	// The extension (if any) changed the leaf universe, and a terminal
-	// session selects no further questions either way: drop the held engine
-	// and release the arena/index memory.
+	// A terminal session selects no further questions: drop the held
+	// engine and release the arena/index memory.
 	s.live.Invalidate()
 	s.pending = nil
-	if s.tree.LeafSet().Len() <= 1 {
+	if s.tree.NumLeaves() <= 1 {
 		s.state = Converged
 	} else {
 		s.state = Exhausted
@@ -537,19 +537,14 @@ func (s *Session) submitLocked(ctx context.Context, a tpo.Answer) error {
 	// The apply span closes before any follow-up planning, so plan() below
 	// parents its selection.plan span on the request (ctx), not on the
 	// already-ended apply span — keeping the tree properly nested for the
-	// self-time identity.
-	applyCtx, sp := obs.StartSpan(ctx, "session.apply")
+	// self-time identity. The held selection engine is not touched here: it
+	// catches up with the conditioned tree at the next sweep.
+	_, sp := obs.StartSpan(ctx, "session.apply")
 	sp.SetAttr("i", a.Q.I)
 	sp.SetAttr("j", a.Q.J)
 	sp.SetAttr("yes", a.Yes)
 	began := time.Now()
 	contradicted, err := applyAnswer(s.tree, a, s.cfg.Reliability)
-	if err == nil && !contradicted {
-		// Bring the held selection engine in line in place (tombstoning
-		// pruned leaves, reweighting survivors) instead of rebuilding it on
-		// the next round.
-		s.live.Sync(applyCtx, s.tree, s.cfg.Reliability >= 1)
-	}
 	s.times.Apply += time.Since(began)
 	sp.SetAttr("contradicted", contradicted)
 	sp.End()

@@ -122,9 +122,6 @@ func planIncrRound(t *tpo.Tree, k, roundSize, remaining int, ctx *selection.Cont
 		if err != nil {
 			return nil, buildTime, 0, err
 		}
-		// Extension changes the leaf universe in ways in-place updates do
-		// not model; a held engine is stale from here.
-		ctx.Live.Invalidate()
 		qs = t.LeafSet().RelevantQuestions()
 	}
 	if len(qs) == 0 {

@@ -153,38 +153,6 @@ func (t *Tree) LeafSet() *LeafSet {
 	return ls
 }
 
-// LeafSetInto is LeafSet reusing a previous snapshot's backing arrays: ls's
-// flat/path/weight storage is truncated and refilled in place when its
-// capacity suffices (nil ls, or one too small, allocates). The result is
-// element-for-element identical to LeafSet() — same layout, same
-// normalization arithmetic — and remains flat-backed (Flat reports ok), so
-// downstream arena snapshots take the zero-copy path. Callers that hand the
-// result to a consumer which retains the backing (selection's live-engine
-// compaction) must stop reusing it afterwards.
-func (t *Tree) LeafSetInto(ls *LeafSet) *LeafSet {
-	if ls == nil {
-		return t.LeafSet()
-	}
-	n := 0
-	t.walkLeaves(func(*Node, rank.Ordering) { n++ })
-	if cap(ls.flat) < n*t.depth {
-		return t.LeafSet()
-	}
-	ls.K = t.depth
-	ls.flat = ls.flat[:0]
-	ls.Paths = ls.Paths[:0]
-	ls.W = ls.W[:0]
-	t.walkLeaves(func(nd *Node, path rank.Ordering) {
-		ls.flat = append(ls.flat, path...)
-		ls.W = append(ls.W, nd.Prob)
-	})
-	for i := 0; i < n; i++ {
-		ls.Paths = append(ls.Paths, rank.Ordering(ls.flat[i*t.depth:(i+1)*t.depth:(i+1)*t.depth]))
-	}
-	numeric.Normalize(ls.W)
-	return ls
-}
-
 // Flat exposes the arena layout of the leaf set: all paths of length K
 // back to back in one array, leaf i occupying flat[i*K : (i+1)*K]. ok is
 // false when the set was not snapshotted from a tree (derived or hand-built
