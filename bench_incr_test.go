@@ -1,8 +1,10 @@
-// BenchmarkSessionAnswer and BenchmarkIncremental measure what an accepted
-// answer costs the serving path. BenchmarkSessionAnswer times
-// Session.SubmitAnswer on sessions shaped like the serving benchmark's
-// workloads, answered by a simulated crowd: the tree prune, the upkeep of
-// the live selection engine and the replan. BenchmarkIncremental isolates
+// BenchmarkSessionCreate measures what a create costs the serving path, and
+// BenchmarkSessionAnswer and BenchmarkIncremental what an accepted answer
+// costs it. BenchmarkSessionCreate times session.New on the serving
+// benchmark's workload shapes: π-cache fill, tree build and first sweep.
+// BenchmarkSessionAnswer times Session.SubmitAnswer on sessions of those
+// shapes, answered by a simulated crowd: the tree prune, the upkeep of the
+// live selection engine and the replan. BenchmarkIncremental isolates
 // the selection step on fixed min-kill answer sequences: the live engine,
 // reconciled with each pruned leaf set inside the sweep, against a full
 // rebuild of the flat engine per answer.
@@ -135,25 +137,71 @@ func BenchmarkIncremental(b *testing.B) {
 	}
 }
 
+// servingShapes are the serving benchmark's two dataset shapes: catalog
+// (every session on one uniform N=24, K=5 dataset, about 1.8k orderings)
+// and durable (a fresh uniform N=12, K=3 dataset per session, seeded by
+// its index from 1).
+var servingShapes = []struct {
+	name   string
+	k      int
+	spec   dataset.Spec
+	shared bool
+}{
+	{"catalog", 5, dataset.Spec{N: 24, Width: 3, Spacing: 0.5, Jitter: 0.001, Seed: 1}, true},
+	{"durable", 3, dataset.Spec{N: 12, Width: 2, Spacing: 0.5, Seed: 1}, false},
+}
+
+// BenchmarkSessionCreate times session.New on the serving benchmark's two
+// dataset shapes under its settings: T1-on, MPO, budget 16. Every iteration
+// parses the dataset's wire specs afresh with dataset.FromSpecs, as the
+// server does on each create, so nothing keyed on distribution identity
+// carries over between sessions. ns/op is one create: the π-cache fill, the
+// tree build and the first selection sweep. orderings is the tree's size.
+func BenchmarkSessionCreate(b *testing.B) {
+	for _, sh := range servingShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			specs := make([][]dataset.DistSpec, b.N)
+			for i := range specs {
+				spec := sh.spec
+				if !sh.shared {
+					spec.Seed = int64(i) + 1
+				}
+				ds, err := dataset.Generate(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if specs[i], err = dataset.SpecsOf(ds); err != nil {
+					b.Fatal(err)
+				}
+			}
+			var orderings float64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ds, err := dataset.FromSpecs(specs[i])
+				if err != nil {
+					b.Fatal(err)
+				}
+				s, err := session.New(session.Config{Dists: ds, K: sh.k, Budget: 16,
+					Algorithm: session.AlgT1On, Measure: "MPO", Seed: int64(i)})
+				if err != nil {
+					b.Fatal(err)
+				}
+				orderings += float64(s.Orderings())
+			}
+			b.ReportMetric(orderings/float64(b.N), "orderings")
+		})
+	}
+}
+
 // BenchmarkSessionAnswer times Session.SubmitAnswer per accepted answer on
-// the serving benchmark's two dataset shapes: catalog (every session on one
-// uniform N=24, K=5 dataset, about 1.8k orderings) and durable (a fresh
-// uniform N=12, K=3 dataset per session). Sessions run its settings — MPO,
+// the serving benchmark's two dataset shapes. Sessions run its settings — MPO,
 // budget 16, a crowd that answers from a sampled ground truth and errs with
 // probability 0.1 — under T1-on with trusted and with noisy answers, the
 // offline C-off batch and incr. Creating a session is untimed; ns/op is the
 // answer time of one session. answers/session and distance (to the real
 // top-K) show that the sessions asked and concluded the same.
 func BenchmarkSessionAnswer(b *testing.B) {
-	shapes := []struct {
-		name   string
-		k      int
-		spec   dataset.Spec
-		shared bool
-	}{
-		{"catalog", 5, dataset.Spec{N: 24, Width: 3, Spacing: 0.5, Jitter: 0.001, Seed: 1}, true},
-		{"durable", 3, dataset.Spec{N: 12, Width: 2, Spacing: 0.5, Seed: 1}, false},
-	}
 	runs := []struct {
 		alg string
 		rel float64
@@ -163,7 +211,7 @@ func BenchmarkSessionAnswer(b *testing.B) {
 		{session.AlgCOff, 1},
 		{session.AlgIncr, 1},
 	}
-	for _, sh := range shapes {
+	for _, sh := range servingShapes {
 		shared, err := dataset.Generate(sh.spec)
 		if err != nil {
 			b.Fatal(err)

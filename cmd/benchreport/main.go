@@ -4,18 +4,28 @@
 // by convention). With -compare it also diffs the fresh run against a
 // previously recorded file and prints per-benchmark ns/op and allocs/op
 // ratios, so CI can surface hot-path regressions in PRs at a glance. The
-// comparison is informational: hardware differs between the recording and
-// CI machines, so it never fails the build on its own.
+// timing comparison is informational: hardware differs between the
+// recording and CI machines, so it never fails the build on its own.
+//
+// The paper's result-quality numbers are a gate instead. BenchmarkFig1b
+// reports the mean distance to the true top-K, questions asked and
+// orderings left over b.N seeded worlds, so two runs at the same
+// -benchtime must report them exactly. When the fresh run and the recorded
+// file share a -benchtime, -compare exits non-zero if any recorded
+// BenchmarkFig1b row's distance, questions or leaves differs or is missing.
+// At different benchtimes (the one-iteration smoke run) the rows average
+// over different worlds and the check only prints the differences.
 //
 // Usage:
 //
 //	go run ./cmd/benchreport                        # 20x iterations, write BENCH_selection.json
 //	go run ./cmd/benchreport -benchtime 1x \
 //	    -out /tmp/bench.json -compare BENCH_selection.json
+//	go run ./cmd/benchreport -pkg . -bench '^BenchmarkFig1b$' -benchtime 20x \
+//	    -out /tmp/fig1b.json -compare BENCH_selection.json   # quality gate
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -28,12 +38,18 @@ import (
 
 // defaultBench covers the residual-sweep primitives, the end-to-end figure
 // benchmark they dominate, the durability family (WAL append, snapshot
-// compaction, cold recovery), the answer path (a served session's
-// SubmitAnswer per strategy, and the live engine's reconcile-and-sweep vs.
-// a full rebuild on min-kill sequences at several leaf-set sizes), and the
-// tree build a session pays on create (full builds at the serving
-// workloads' shapes, worker scaling, level-wise Extend).
-const defaultBench = "BenchmarkSelectionPrimitives|BenchmarkFig1b|BenchmarkPersist|BenchmarkSessionAnswer|BenchmarkIncremental|BenchmarkTPOBuild|BenchmarkBuildWorkers|BenchmarkExtendWorkers"
+// compaction, cold recovery), the create path (session.New at the serving
+// workloads' shapes), the answer path (a served session's SubmitAnswer per
+// strategy, and the live engine's reconcile-and-sweep vs. a full rebuild on
+// min-kill sequences at several leaf-set sizes), and the tree build a
+// session pays on create (full builds at the serving workloads' shapes,
+// worker scaling, level-wise Extend).
+const defaultBench = "BenchmarkSelectionPrimitives|BenchmarkFig1b|BenchmarkPersist|BenchmarkSessionCreate|BenchmarkSessionAnswer|BenchmarkIncremental|BenchmarkTPOBuild|BenchmarkBuildWorkers|BenchmarkExtendWorkers"
+
+// qualityPrefix and qualityMetrics name the gated rows and metrics.
+const qualityPrefix = "BenchmarkFig1b/"
+
+var qualityMetrics = []string{"distance", "questions", "leaves"}
 
 // defaultPkgs are the packages holding those families (comma-separated for
 // the -pkg flag; benchmark names are globally unique, so one report file
@@ -44,7 +60,7 @@ func main() {
 	bench := flag.String("bench", defaultBench, "benchmark regexp passed to go test -bench")
 	benchtime := flag.String("benchtime", "20x", "go test -benchtime value")
 	out := flag.String("out", "BENCH_selection.json", "output JSON path")
-	compare := flag.String("compare", "", "previously recorded report to diff against (informational)")
+	compare := flag.String("compare", "", "previously recorded report to diff against (timings informational, Fig1b quality gated)")
 	pkg := flag.String("pkg", defaultPkgs, "comma-separated packages to benchmark")
 	flag.Parse()
 
@@ -69,8 +85,27 @@ func main() {
 	fmt.Printf("benchreport: %d benchmarks → %s\n", len(rep.Results), *out)
 
 	if *compare != "" {
-		if err := diff(*compare, rep); err != nil {
+		base, err := benchfmt.ReadFile(*compare)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchreport: compare: %v\n", err)
+			return
+		}
+		diff(*compare, base, rep)
+		diffs := qualityDiffs(base, rep)
+		if len(diffs) == 0 {
+			return
+		}
+		gated := base.Benchtime == rep.Benchtime
+		verdict := "differ at a different -benchtime (informational)"
+		if gated {
+			verdict = "FAIL: differ from the recording at the same -benchtime"
+		}
+		fmt.Printf("result-quality metrics %s:\n", verdict)
+		for _, d := range diffs {
+			fmt.Println("  " + d)
+		}
+		if gated {
+			os.Exit(1)
 		}
 	}
 }
@@ -134,15 +169,7 @@ func parse(out string) *benchfmt.Report {
 }
 
 // diff prints fresh/recorded ratios for benchmarks present in both reports.
-func diff(path string, fresh *benchfmt.Report) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var base benchfmt.Report
-	if err := json.Unmarshal(data, &base); err != nil {
-		return err
-	}
+func diff(path string, base, fresh *benchfmt.Report) {
 	byName := make(map[string]benchfmt.Result, len(base.Results))
 	for _, r := range base.Results {
 		byName[r.Name] = r
@@ -159,5 +186,38 @@ func diff(path string, fresh *benchfmt.Report) error {
 		}
 		fmt.Println(line)
 	}
-	return nil
+}
+
+// qualityDiffs lists every recorded result-quality row whose gated metrics
+// the fresh run reports differently, or does not report. A fresh run that
+// holds no such row at all (another -bench selection) is not compared.
+func qualityDiffs(base, fresh *benchfmt.Report) []string {
+	byName := make(map[string]benchfmt.Result, len(fresh.Results))
+	for _, r := range fresh.Results {
+		if strings.HasPrefix(r.Name, qualityPrefix) {
+			byName[r.Name] = r
+		}
+	}
+	if len(byName) == 0 {
+		return nil
+	}
+	var out []string
+	for _, b := range base.Results {
+		if !strings.HasPrefix(b.Name, qualityPrefix) {
+			continue
+		}
+		r, ok := byName[b.Name]
+		if !ok {
+			out = append(out, b.Name+": missing from this run")
+			continue
+		}
+		for _, m := range qualityMetrics {
+			want, wok := b.Metrics[m]
+			got, gok := r.Metrics[m]
+			if wok != gok || want != got {
+				out = append(out, fmt.Sprintf("%s: %s %g, recorded %g", b.Name, m, got, want))
+			}
+		}
+	}
+	return out
 }

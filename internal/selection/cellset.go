@@ -3,6 +3,8 @@ package selection
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"crowdtopk/internal/numeric"
@@ -27,8 +29,8 @@ import (
 // distance rows are immutable for the arena's lifetime; the weight vector is
 // not — when a later leaf set holds the same leaves, the live engine
 // (live.go) overwrites the weights in place. When it holds fewer, the live
-// engine builds a new arena over them, filtering the per-leaf arrays of this
-// one.
+// engine filters this arena into a new one over them (see filtered), which
+// compacts this one's arrays in place and ends its lifetime.
 type Arena struct {
 	k, n  int
 	flat  []int           // n·k tuple ids; leaf i is flat[i*k : (i+1)*k]
@@ -53,8 +55,10 @@ type Arena struct {
 	rowMu      sync.Mutex
 	rows       map[int32][]float64
 	rowPenalty float64
-	rowPosR    []int32 // scratch: ref positions per tuple (under rowMu)
-	rowPr      []int32 // scratch: ref positions per probe slot (under rowMu)
+	rowSpare   [][]float64 // rows a filter released, reused by DistRow (under rowMu)
+	rowPosR    []int32     // scratch: ref positions per tuple (under rowMu)
+	rowSteps   []distStep  // scratch: fillDistRow state per depth (under rowMu)
+	rowSeen    []uint64    // scratch: ref positions seen per depth (under rowMu)
 }
 
 // NewArena snapshots ls. The flat layout needs the rectangular shape every
@@ -84,7 +88,8 @@ func NewArena(ls *tpo.LeafSet) *Arena {
 
 // adoptLeaves points the arena's paths at ls's leaves, in ls's flat backing
 // when it has one (tree snapshots are already contiguous), and copies its
-// weights. ls must be rectangular with a.k entries per path.
+// weights, into the arena's own weight and path-header arrays when they are
+// large enough. ls must be rectangular with a.k entries per path.
 func (a *Arena) adoptLeaves(ls *tpo.LeafSet) {
 	n, k := ls.Len(), a.k
 	if flat, ok := ls.Flat(); ok {
@@ -95,8 +100,8 @@ func (a *Arena) adoptLeaves(ls *tpo.LeafSet) {
 			copy(a.flat[i*k:], p)
 		}
 	}
-	a.w = append([]float64(nil), ls.W...)
-	a.paths = make([]rank.Ordering, n)
+	a.w = append(a.w[:0], ls.W...)
+	a.paths = slices.Grow(a.paths[:0], n)[:n]
 	for i := range a.paths {
 		a.paths[i] = rank.Ordering(a.flat[i*k : (i+1)*k : (i+1)*k])
 	}
@@ -407,9 +412,10 @@ func (v *cellView) DistRow(ref int32, penalty float64) []float64 {
 }
 
 // DistRow returns the normalized distances of every arena leaf to the
-// reference leaf, computed once per reference and shared by all cells and
-// workers — residual sweeps re-reference the same few heavy leaves across
-// most branches. Safe for concurrent use.
+// reference leaf, computed once per reference by fillDistRow and shared by
+// all cells and workers — residual sweeps re-reference the same few heavy
+// leaves across most branches. A row is filled into an array a filter
+// released when there is one. Safe for concurrent use.
 func (a *Arena) DistRow(ref int32, penalty float64) []float64 {
 	if penalty == 0 {
 		penalty = rank.DefaultPenalty
@@ -423,45 +429,73 @@ func (a *Arena) DistRow(ref int32, penalty float64) []float64 {
 	if row, ok := a.rows[ref]; ok {
 		return row
 	}
-	row := make([]float64, a.n)
+	var row []float64
+	if last := len(a.rowSpare) - 1; last >= 0 {
+		row, a.rowSpare = a.rowSpare[last][:a.n], a.rowSpare[:last]
+	} else {
+		row = make([]float64, a.n)
+	}
 	a.fillDistRow(row, ref, penalty)
 	a.rows[ref] = row
 	return row
 }
 
-// migrateRowsFrom seeds a filtered arena's distance-row cache from its
-// predecessor. Distances depend only on the immutable leaf orderings, and
-// fillDistRow computes each leaf's entry independently, so a surviving
-// reference's row filtered to surviving slots is float-for-float the row a
-// fresh computation would produce. newSlot maps predecessor slots to
-// filtered slots, -1 for dropped leaves; rows whose reference was dropped
-// are dropped too.
-func (a *Arena) migrateRowsFrom(old *Arena, newSlot []int32) {
-	old.rowMu.Lock()
-	rows, pen := old.rows, old.rowPenalty
-	old.rowMu.Unlock()
-	if len(rows) == 0 {
-		return
-	}
-	migrated := make(map[int32][]float64, len(rows))
-	for ref, row := range rows {
-		nr := newSlot[ref]
-		if nr < 0 {
-			continue
+// filtered returns the arena over ls, a strict subsequence of a's leaves:
+// slot maps each of a's slots to its slot in ls, -1 for dropped leaves. Paths
+// come from ls's flat backing and weights from ls, as NewArena takes them;
+// dense ids and cached distance rows are functions of the paths alone, so
+// they are filtered rather than re-derived. The filtered arena is built in
+// a's own arrays: the slot map is monotone, so compacting front to back
+// never writes a destination past its source. a must not be used
+// afterwards.
+func (a *Arena) filtered(ls *tpo.LeafSet, slot []int32) *Arena {
+	k, m := a.k, ls.Len()
+	na := &Arena{k: k, n: m, tuples: a.tuples, tidx: a.tidx, w: a.w, paths: a.paths}
+	na.adoptLeaves(ls)
+	for i, s := range slot {
+		if s >= 0 {
+			copy(a.dense[int(s)*k:(int(s)+1)*k], a.dense[i*k:(i+1)*k])
 		}
-		out := make([]float64, a.n)
-		for i, s := range newSlot {
-			if s >= 0 {
-				out[s] = row[i]
-			}
-		}
-		migrated[nr] = out
 	}
+	na.dense = a.dense[:m*k]
+
+	// Distances depend only on the leaf orderings, and fillDistRow's entry
+	// for a leaf is a function of that leaf's path and the reference's
+	// alone (the state it resumes from is that of the prefix it shares with
+	// the previous leaf), so a surviving reference's row filtered to the
+	// surviving slots is float-for-float the row a fresh computation would
+	// produce. A row
+	// whose reference was dropped is released for DistRow to refill; every
+	// released row holds at least a.n ≥ m entries.
 	a.rowMu.Lock()
-	if a.rows == nil {
-		a.rows, a.rowPenalty = migrated, pen
+	defer a.rowMu.Unlock()
+	na.rowPenalty, na.rowSpare = a.rowPenalty, a.rowSpare
+	na.rowPosR, na.rowSteps, na.rowSeen = a.rowPosR, a.rowSteps, a.rowSeen
+	if len(a.rows) > 0 {
+		na.rows = make(map[int32][]float64, len(a.rows))
+		for ref, row := range a.rows {
+			nr := slot[ref]
+			if nr < 0 {
+				na.rowSpare = append(na.rowSpare, row)
+				continue
+			}
+			for i, s := range slot {
+				if s >= 0 {
+					row[s] = row[i]
+				}
+			}
+			na.rows[nr] = row[:m]
+		}
 	}
-	a.rowMu.Unlock()
+	return na
+}
+
+// distStep is the Kendall state of fillDistRow after a probe-path prefix:
+// the shared tuples seen so far (s), the order flips among them (m), the
+// probe-only-before-shared pairs (a) and the sum of their reference
+// positions (sp). The set of reference positions seen is kept beside it.
+type distStep struct {
+	s, m, a, sp int32
 }
 
 // fillDistRow computes the normalized generalized Kendall distance of every
@@ -478,70 +512,79 @@ func (a *Arena) migrateRowsFrom(old *Arena, newSlot []int32) {
 // earlier element is probe-only and later element shared, B counts reference
 // pairs whose earlier element is reference-only and later element shared,
 // (k−s)² is the probe-only × reference-only block (one each), and the last
-// term is the two within-only blocks at penalty p. Runs under rowMu.
+// term is the two within-only blocks at penalty p.
+//
+// The integers accumulate along the probe path. A tuple at probe depth d
+// whose reference position is p ≥ 0 flips order with every shared tuple
+// seen before it at a later reference position, M += |seen ∩ (p, k)|; it
+// follows the d−s probe-only tuples before it, A += d−s; and it adds p to
+// Σp. At the end B = Σp − s(s−1)/2: a shared tuple at reference position p
+// has p tuples before it there, of which the shared ones are the shared
+// positions below p, and those number s(s−1)/2 over all s. The state after
+// every depth is kept, so each leaf resumes at the first depth where its
+// path differs from the previous leaf's — tree snapshots enumerate siblings
+// next to each other, so a row costs about one step per tree node rather
+// than K² per leaf. The seen set takes one word per 64 reference positions.
+// Runs under rowMu.
 func (a *Arena) fillDistRow(row []float64, ref int32, penalty float64) {
 	k := a.k
+	max := rank.KendallTopKMax(k, k, penalty)
+	if max == 0 {
+		clear(row)
+		return
+	}
 	if cap(a.rowPosR) < len(a.tuples) {
 		a.rowPosR = make([]int32, len(a.tuples))
-	}
-	if cap(a.rowPr) < k {
-		a.rowPr = make([]int32, k)
 	}
 	posR := a.rowPosR[:len(a.tuples)]
 	for i := range posR {
 		posR[i] = -1
 	}
-	for d := 0; d < k; d++ {
-		posR[a.dense[int(ref)*k+d]] = int32(d)
+	for d, t := range a.dense[int(ref)*k : (int(ref)+1)*k] {
+		posR[t] = int32(d)
 	}
-	pr := a.rowPr[:k]
-	max := rank.KendallTopKMax(k, k, penalty)
-	if max == 0 {
-		for i := range row {
-			row[i] = 0
-		}
-		return
+	words := (k + 63) / 64
+	if cap(a.rowSteps) < k+1 {
+		a.rowSteps = make([]distStep, k+1)
 	}
+	if cap(a.rowSeen) < (k+1)*words {
+		a.rowSeen = make([]uint64, (k+1)*words)
+	}
+	steps, seen := a.rowSteps[:k+1], a.rowSeen[:(k+1)*words]
+	steps[0] = distStep{}
+	clear(seen[:words])
+	var prev []int32
 	for leaf := 0; leaf < a.n; leaf++ {
-		base := leaf * k
-		s := 0
-		for d := 0; d < k; d++ {
-			p := posR[a.dense[base+d]]
-			pr[d] = p
-			if p >= 0 {
-				s++
+		path := a.dense[leaf*k : (leaf+1)*k]
+		d := 0
+		if prev != nil {
+			for d < k && path[d] == prev[d] {
+				d++
 			}
 		}
-		var m1, across, b int32
-		for d2 := 1; d2 < k; d2++ {
-			p2 := pr[d2]
-			for d1 := 0; d1 < d2; d1++ {
-				p1 := pr[d1]
-				switch {
-				case p1 >= 0 && p2 >= 0:
-					if p1 > p2 {
-						m1++
-					}
-				case p2 >= 0: // p1 < 0: probe-only before shared
-					across++
+		for ; d < k; d++ {
+			st := steps[d]
+			cur, next := seen[d*words:(d+1)*words], seen[(d+1)*words:(d+2)*words]
+			copy(next, cur)
+			if p := posR[path[d]]; p >= 0 {
+				w, b := p>>6, uint(p&63)
+				flips := bits.OnesCount64(cur[w] >> (b + 1))
+				for _, x := range cur[w+1:] {
+					flips += bits.OnesCount64(x)
 				}
+				st.m += int32(flips)
+				st.a += int32(d) - st.s
+				st.sp += p
+				st.s++
+				next[w] |= 1 << b
 			}
+			steps[d+1] = st
 		}
-		for d := 0; d < k; d++ {
-			p := pr[d]
-			if p < 0 {
-				continue
-			}
-			before := int32(0)
-			for d2 := 0; d2 < k; d2++ {
-				if q := pr[d2]; q >= 0 && q < p {
-					before++
-				}
-			}
-			b += p - before
-		}
-		ks := k - s
-		dist := float64(m1+across+b) + float64(ks*ks) + penalty*float64(ks*(ks-1))
+		prev = path
+		st := steps[k]
+		b := st.sp - st.s*(st.s-1)/2
+		ks := k - int(st.s)
+		dist := float64(st.m+st.a+b) + float64(ks*ks) + penalty*float64(ks*(ks-1))
 		row[leaf] = dist / max
 	}
 }

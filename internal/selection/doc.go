@@ -21,6 +21,21 @@
 // one shape the arena needs, and checkpointed leaf sets are checked for it
 // when they are turned back into trees.
 //
+// # Distance rows
+//
+// U_MPO's dot pass reads one row of normalized Kendall top-K distances per
+// reference leaf: the distance of every arena leaf to the branch's most
+// probable ordering. The arena fills each row once and shares it across
+// cells and workers. The row kernel walks each leaf's path once, keeping
+// the partial counts (order flips, probe-only-before-shared pairs, the sum
+// of shared reference positions, and the set of reference positions seen,
+// one bit each) per depth. Tree snapshots list siblings next to each other,
+// so each leaf resumes at the first depth where its path leaves the
+// previous leaf's, and a row costs about one step per tree node. The
+// counts are the integers a pairwise O(K²) pass computes, and the final
+// expression is the same, so the rows are bit-identical to it (the pairwise
+// kernel is kept as the oracle in flat_test.go).
+//
 // # Live engine
 //
 // Building that index is O(leaves·pairs) — too much to repeat per answer
@@ -35,10 +50,13 @@
 //     the one before: both come from one tree's leaf enumeration with
 //     distinct paths. One forward walk pairs them.
 //   - When leaves were dropped, the per-leaf arrays — dense ids,
-//     classification bytes, cached distance rows — are filtered through
-//     that pairing, and paths come from the new leaf set's flat backing.
-//     All of them are functions of the paths alone, so nothing is
-//     re-derived and the classification is paid once per engine lifetime.
+//     classification bytes, cached distance rows — are compacted in place
+//     through that pairing, and paths come from the new leaf set's flat
+//     backing. The pairing is monotone, so no element moves past its
+//     source, and the held engine is their only reader. All of them are
+//     functions of the paths alone, so nothing is re-derived and the
+//     classification is paid once per engine lifetime. Rows whose
+//     reference was dropped are refilled for later references.
 //   - The weights are always adopted from the new leaf set, and the
 //     per-class aggregates are recomputed from them in the order a fresh
 //     build uses.

@@ -66,8 +66,9 @@ func LiveEngineStats() LiveCounters {
 // protects the held-engine pointer against concurrent Invalidate calls, not
 // concurrent use of the returned engine.
 type LiveEngine struct {
-	mu  sync.Mutex
-	eng *ResidualEngine
+	mu   sync.Mutex
+	eng  *ResidualEngine
+	slot []int32 // reconcile scratch: held slot -> slot in the new leaf set
 }
 
 // NewLiveEngine returns an empty live engine; the first selection round
@@ -143,7 +144,8 @@ func (l *LiveEngine) reconcile(ls *tpo.LeafSet) bool {
 	if m == 0 {
 		return false
 	}
-	slot := make([]int32, a.n) // held slot -> slot in ls, -1 when dropped
+	l.slot = slices.Grow(l.slot[:0], a.n)[:a.n] // held slot -> slot in ls, -1 when dropped
+	slot := l.slot
 	j := 0
 	for i := range slot {
 		slot[i] = -1
@@ -171,41 +173,34 @@ func (l *LiveEngine) reconcile(ls *tpo.LeafSet) bool {
 
 // filter returns the engine over ls, a strict subsequence of the held
 // leaves: slot maps each held slot to its position in ls, -1 for dropped
-// leaves. Paths and weights come from ls, as NewArena takes them; dense
-// ids, classification rows and distance rows are per-leaf functions of the
-// paths, so they are filtered rather than re-derived. The question universe,
-// π and tuple set carry over and may cover more than ls spans; questions
-// over tuples no surviving leaf holds classify one way or not at all, so
-// they never enter the relevant list, and every consumer works off that list
-// and the per-class aggregates, which recomputeStats makes exactly what a
-// fresh build computes.
+// leaves. The arena is filtered as Arena.filtered describes, and the
+// classification rows, per-leaf functions of the paths too, are compacted
+// in place through the same slot map. The question universe, π and tuple
+// set carry over and may cover more than ls spans; questions over tuples no
+// surviving leaf holds classify one way or not at all, so they never enter
+// the relevant list, and every consumer works off that list and the
+// per-class aggregates, which recomputeStats makes exactly what a fresh
+// build computes. The held engine is the only reader of these arrays, so
+// it is spent: the returned engine takes over its arrays and its worker
+// scratch.
 func (e *ResidualEngine) filter(ls *tpo.LeafSet, slot []int32) *ResidualEngine {
 	a, ci := e.arena, e.index
-	m, k := ls.Len(), a.k
-	na := &Arena{k: k, n: m, tuples: a.tuples, tidx: a.tidx, dense: make([]int32, m*k)}
-	na.adoptLeaves(ls)
-	for i, s := range slot {
-		if s >= 0 {
-			copy(na.dense[int(s)*k:(int(s)+1)*k], a.dense[i*k:(i+1)*k])
-		}
-	}
-	na.migrateRowsFrom(a, slot)
-
-	nq := len(ci.all)
-	class := make([]byte, nq*m)
-	for q := 0; q < nq; q++ {
-		src := ci.class[q*a.n : (q+1)*a.n]
-		dst := class[q*m : (q+1)*m]
+	n, m := a.n, ls.Len()
+	na := a.filtered(ls, slot)
+	// Row q moves from q·n to q·m, and slot[i] ≤ i, so every byte lands at
+	// or before its source and no unread byte is overwritten.
+	for q := range ci.all {
+		src, dst := ci.class[q*n:(q+1)*n], ci.class[q*m:(q+1)*m]
 		for i, s := range slot {
 			if s >= 0 {
 				dst[s] = src[i]
 			}
 		}
 	}
+	ci.class = ci.class[:len(ci.all)*m]
 	ci.arena = na
-	ci.class = class
 	ci.recomputeStats()
-	return &ResidualEngine{ctx: e.ctx, arena: na, index: ci, rootMass: numeric.Sum(na.w)}
+	return &ResidualEngine{ctx: e.ctx, arena: na, index: ci, rootMass: numeric.Sum(na.w), scratch: e.scratch}
 }
 
 // recomputeStats rebuilds the per-question aggregates and the relevant list
