@@ -24,7 +24,7 @@ func cmdServe(args []string) error {
 	ttl := fs.Duration("ttl", server.DefaultTTL, "evict sessions idle longer than this (0 = never); with -data-dir eviction moves them to disk instead of dropping them")
 	maxSessions := fs.Int("max-sessions", 0, "maximum live in-memory sessions, creates beyond it get 503 (0 = unbounded)")
 	dataDir := fs.String("data-dir", "", "durable session store directory; empty serves memory-only (sessions die with the process)")
-	fsync := fs.String("fsync", string(persist.SyncAlways), "wal fsync policy with -data-dir: always (each answer batch durable) or none (page cache + flush on shutdown)")
+	fsync := fs.String("fsync", string(persist.SyncAlways), "wal fsync policy with -data-dir: always (fsync every wal append; answers are acked before the background persister writes them) or none (page cache + flush on shutdown)")
 	snapshotEvery := fs.Int("snapshot-every", persist.DefaultSnapshotEvery, "with -data-dir, compact a session's wal into a fresh snapshot after this many appended answers")
 	logFormat := fs.String("log-format", "text", "structured log format on stderr: text or json")
 	auditPath := fs.String("audit-log", "", "append-only NDJSON audit log of accepted answer batches; empty disables auditing")

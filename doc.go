@@ -102,7 +102,7 @@
 //
 //	POST answers          dirty hook    ┌────────────────┐  append (+fsync)
 //	──────▶ live session ──────────────▶│ async persister│─────────────────▶ <data-dir>/sessions/<id>/
-//	         (memory tier)              └────────────────┘  every N answers:    ├─ snapshot.json
+//	         (session table)            └────────────────┘  every N answers:    ├─ snapshot.json
 //	            ▲   │                                       compact WAL into    └─ wal.log (CRC-framed,
 //	            │   │ idle TTL: persist, then release       a fresh snapshot       seq-numbered answers)
 //	   lazy     │   ▼

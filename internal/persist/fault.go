@@ -26,11 +26,10 @@ const (
 	OpPut    Op = "put"
 	OpGet    Op = "get"
 	OpDelete Op = "delete"
-	OpList   Op = "list"
 	OpFlush  Op = "flush"
 )
 
-var allOps = []Op{OpPut, OpGet, OpDelete, OpList, OpFlush}
+var allOps = []Op{OpPut, OpGet, OpDelete, OpFlush}
 
 // FaultSpec is a deterministic, seedable fault schedule for a FaultStore.
 // Schedules are reproducible: the same spec over the same operation sequence
@@ -47,9 +46,7 @@ type FaultSpec struct {
 	ErrRate map[Op]float64
 	// TornEvery turns every Nth Put into a torn write: the WAL append is
 	// deliberately cut short, leaving a partial frame on disk, and the Put
-	// reports failure — what a crash or full disk mid-append produces. Only
-	// effective over a *File backend; elsewhere it degrades to a plain
-	// injected error.
+	// reports failure — what a crash or full disk mid-append produces.
 	TornEvery int
 	// TornRate tears Puts with this probability.
 	TornRate float64
@@ -61,7 +58,7 @@ type FaultSpec struct {
 
 // ParseFaultSpec decodes the -fault-spec wire form: comma-separated clauses
 //
-//	<op>.err.every=N    fail every Nth <op> (put, get, delete, list, flush)
+//	<op>.err.every=N    fail every Nth <op> (put, get, delete, flush)
 //	<op>.err.rate=P     fail <op> with probability P in [0,1]
 //	put.torn.every=N    tear every Nth put (short WAL write + failure)
 //	put.torn.rate=P     tear puts with probability P
@@ -148,18 +145,16 @@ func faultOp(s string) (Op, error) {
 	return "", fmt.Errorf("persist: unknown fault spec op %q", s)
 }
 
-// FaultStore wraps a Store with deterministic fault injection: scheduled
-// errors, probabilistic errors, injected latency, torn WAL writes (over a
-// *File backend) and a wedged mode where every operation blocks until the
-// store is unwedged. It is how the torture tests — and `crowdtopk serve
-// -fault-spec` chaos runs — produce the failures disks and remote backends
-// produce in production, on demand and reproducibly.
-//
-// FaultStore forwards the optional backend interfaces (CounterSource,
-// Scanner, Quarantiner) so the serving layer's boot scan, quarantine and
-// stats behave exactly as they would over the naked backend.
+// FaultStore wraps a File with deterministic fault injection: scheduled
+// errors, probabilistic errors, injected latency, torn WAL writes and a
+// wedged mode where every operation blocks until the store is unwedged. It
+// is how the torture tests — and `crowdtopk serve -fault-spec` chaos runs —
+// produce the failures disks produce in production, on demand and
+// reproducibly. Scan, Quarantine and Counters are never injected, so the
+// serving layer's boot scan, quarantine and stats behave exactly as they
+// would over the naked File.
 type FaultStore struct {
-	inner Store
+	inner *File
 
 	mu      sync.Mutex
 	spec    FaultSpec
@@ -174,7 +169,7 @@ type FaultStore struct {
 }
 
 // NewFaultStore wraps inner with the given fault schedule.
-func NewFaultStore(inner Store, spec FaultSpec) *FaultStore {
+func NewFaultStore(inner *File, spec FaultSpec) *FaultStore {
 	seed := spec.Seed
 	if seed == 0 {
 		seed = 1
@@ -298,8 +293,8 @@ func (f *FaultStore) tearNow() (bool, int) {
 	return true, 1 + f.rng.Intn(walHeaderLen+walCRCLen)
 }
 
-// Put forwards to the inner store unless the schedule injects an error or —
-// over a file backend — a torn write.
+// Put forwards to the inner store unless the schedule injects an error or a
+// torn write.
 func (f *FaultStore) Put(id string, sess *session.Session) error {
 	if err := f.before(OpPut); err != nil {
 		return err
@@ -307,10 +302,7 @@ func (f *FaultStore) Put(id string, sess *session.Session) error {
 	if tear, cut := f.tearNow(); tear {
 		f.injected.Add(1)
 		f.tornPuts.Add(1)
-		if file, ok := f.inner.(*File); ok {
-			return file.putTorn(id, sess, cut)
-		}
-		return fmt.Errorf("%w: torn put (backend cannot tear)", ErrInjected)
+		return f.inner.putTorn(id, sess, cut)
 	}
 	return f.inner.Put(id, sess)
 }
@@ -331,14 +323,6 @@ func (f *FaultStore) Delete(id string) error {
 	return f.inner.Delete(id)
 }
 
-// List forwards to the inner store unless the schedule injects an error.
-func (f *FaultStore) List() ([]string, error) {
-	if err := f.before(OpList); err != nil {
-		return nil, err
-	}
-	return f.inner.List()
-}
-
 // Flush forwards to the inner store unless the schedule injects an error.
 func (f *FaultStore) Flush() error {
 	if err := f.before(OpFlush); err != nil {
@@ -354,36 +338,14 @@ func (f *FaultStore) Close() error {
 	return f.inner.Close()
 }
 
-// Counters forwards the inner backend's activity counters (zero snapshot
-// when the backend tracks none), keeping /v1/stats intact under injection.
-func (f *FaultStore) Counters() CounterSnapshot {
-	if cs, ok := f.inner.(CounterSource); ok {
-		return cs.Counters()
-	}
-	return CounterSnapshot{}
-}
+// Counters forwards the inner store's activity counters, keeping /v1/stats
+// intact under injection.
+func (f *FaultStore) Counters() CounterSnapshot { return f.inner.Counters() }
 
-// Scan forwards the boot scan; a backend without one degrades to List.
-func (f *FaultStore) Scan() (ScanResult, error) {
-	if sc, ok := f.inner.(Scanner); ok {
-		return sc.Scan()
-	}
-	ids, err := f.inner.List()
-	return ScanResult{IDs: ids}, err
-}
+// Scan forwards the boot scan.
+func (f *FaultStore) Scan() (ScanResult, error) { return f.inner.Scan() }
 
-// Quarantine forwards to the inner backend when it supports quarantining.
+// Quarantine forwards to the inner store.
 func (f *FaultStore) Quarantine(id, reason, detail string) error {
-	if q, ok := f.inner.(Quarantiner); ok {
-		return q.Quarantine(id, reason, detail)
-	}
-	return fmt.Errorf("persist: backend %T cannot quarantine", f.inner)
-}
-
-// Quarantined forwards the quarantine listing (empty when unsupported).
-func (f *FaultStore) Quarantined() ([]QuarantineInfo, error) {
-	if q, ok := f.inner.(Quarantiner); ok {
-		return q.Quarantined()
-	}
-	return nil, nil
+	return f.inner.Quarantine(id, reason, detail)
 }

@@ -20,9 +20,11 @@ import (
 type SyncPolicy string
 
 const (
-	// SyncAlways fsyncs the WAL after every appended answer batch: an
-	// acknowledged answer survives power loss, at the price of one fsync
-	// per accepted batch.
+	// SyncAlways fsyncs the WAL after every appended answer batch: once Put
+	// returns, the batch survives power loss, at the price of one fsync per
+	// append. The serving layer acknowledges answers before its background
+	// persister calls Put, so an acknowledged answer is durable only once
+	// that write has landed.
 	SyncAlways SyncPolicy = "always"
 	// SyncNone leaves WAL durability to the OS page cache (plus Flush on
 	// graceful shutdown): a hard crash may lose the most recent answers,
@@ -446,27 +448,6 @@ func (f *File) Delete(id string) error {
 	// directory. Ids are random and never reused, so tombstones are tiny.
 	st.deleted = true
 	return nil
-}
-
-// List returns the ids of every stored session, sorted (os.ReadDir order).
-func (f *File) List() ([]string, error) {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return nil, ErrClosed
-	}
-	f.mu.Unlock()
-	entries, err := os.ReadDir(f.dir)
-	if err != nil {
-		return nil, fmt.Errorf("persist: listing %s: %w", f.dir, err)
-	}
-	var ids []string
-	for _, e := range entries {
-		if e.IsDir() && ValidateID(e.Name()) == nil {
-			ids = append(ids, e.Name())
-		}
-	}
-	return ids, nil
 }
 
 // Flush fsyncs every open WAL, making all accepted Puts durable under any

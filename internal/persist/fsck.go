@@ -94,15 +94,7 @@ func Fsck(dir string, opts FsckOptions) (*FsckReport, error) {
 		}
 	}
 	sort.Slice(rep.Sessions, func(i, j int) bool { return rep.Sessions[i].ID < rep.Sessions[j].ID })
-	qroot := filepath.Join(dir, "quarantine")
-	if qents, qerr := os.ReadDir(qroot); qerr == nil {
-		for _, e := range qents {
-			if e.IsDir() && ValidateID(e.Name()) == nil {
-				rep.Quarantined = append(rep.Quarantined, readQuarantineMarker(qroot, e.Name()))
-			}
-		}
-		sort.Slice(rep.Quarantined, func(i, j int) bool { return rep.Quarantined[i].ID < rep.Quarantined[j].ID })
-	}
+	rep.Quarantined = quarantined(filepath.Join(dir, "quarantine"))
 	return rep, nil
 }
 

@@ -1,22 +1,18 @@
-// Package persist gives query sessions a durable, pluggable home. The
-// serving layer (internal/server) holds live sessions in memory; a Store is
-// where they go to survive idle eviction, graceful shutdowns and crashes.
+// Package persist gives query sessions a durable home. The serving layer
+// (internal/service) keeps its session table in memory; a Store is where
+// sessions go to survive idle eviction, graceful shutdowns and crashes.
 //
-// Two backends implement the Store interface:
-//
-//   - Memory: a sharded in-process map. Nothing survives the process; it is
-//     the cache tier the server always runs, and a standalone store for
-//     tests and memory-only deployments.
-//   - File: one directory per session holding a periodic full snapshot (the
-//     session checkpoint envelope from internal/session, reused verbatim)
-//     plus an append-only, CRC-framed write-ahead log of the answers
-//     accepted since that snapshot. Put appends the answer delta and
-//     compacts into a fresh snapshot every SnapshotEvery answers; Get
-//     restores the snapshot and replays the WAL tail through the session's
-//     own SubmitAnswer transition, so a recovered session is
-//     indistinguishable from one that never went down. A torn final record
-//     (the crash landed mid-append) is dropped and the log truncated;
-//     corruption anywhere else fails loudly with a *CorruptError.
+// File is the Store: one directory per session holding a periodic full
+// snapshot (the session checkpoint envelope from internal/session, reused
+// verbatim) plus an append-only, CRC-framed write-ahead log of the answers
+// accepted since that snapshot. Put appends the answer delta and compacts
+// into a fresh snapshot every SnapshotEvery answers; Get restores the
+// snapshot and replays the WAL tail through the session's own SubmitAnswer
+// transition, so a recovered session is indistinguishable from one that
+// never went down. A torn final record (the crash landed mid-append) is
+// dropped and the log truncated; corruption anywhere else fails loudly with
+// a *CorruptError. FaultStore wraps a File with deterministic fault
+// injection for chaos runs and torture tests.
 //
 // The design follows the usual WAL discipline (etcd's wal, OPA's disk
 // store): length+CRC framing per record, monotonically increasing sequence
@@ -66,8 +62,9 @@ func (e *CorruptError) Unwrap() error { return e.Err }
 // Is makes errors.Is(err, ErrCorrupt) true for every CorruptError.
 func (e *CorruptError) Is(target error) bool { return target == ErrCorrupt }
 
-// Store is a durable (or at least authoritative) home for sessions. The
-// serving layer treats its in-memory table as a cache over one of these.
+// Store is a durable home for sessions, declared as exactly the calls the
+// serving layer makes; that layer treats its in-memory table as a cache
+// over one of these.
 //
 // Implementations must be safe for concurrent use. Put with the same id must
 // be cheap when called repeatedly: the file backend appends only the answers
@@ -83,19 +80,22 @@ type Store interface {
 	// Delete removes every trace of the session. Deleting an unknown id
 	// returns ErrNotFound.
 	Delete(id string) error
-	// List returns the ids of all stored sessions, sorted.
-	List() ([]string, error)
+	// Scan is the boot scan: the recoverable session ids, the quarantined
+	// sessions, and the entries skipped as unusable. One damaged session
+	// must not fail it; an unusable store root does.
+	Scan() (ScanResult, error)
+	// Quarantine moves the session's data out of the serving path with a
+	// typed reason (one of the Reason* constants), keeping it for forensics
+	// and `crowdtopk fsck`. ErrNotFound when the store holds nothing for id.
+	Quarantine(id, reason, detail string) error
+	// Counters reports the store's activity counters, which the serving
+	// layer surfaces in GET /v1/stats and /metrics.
+	Counters() CounterSnapshot
 	// Flush makes every accepted Put durable (fsync under lenient sync
-	// policies). It is a no-op for stores that are always current.
+	// policies).
 	Flush() error
 	// Close flushes and releases resources. The store is unusable after.
 	Close() error
-}
-
-// CounterSource is implemented by backends that track persistence activity;
-// the serving layer surfaces these in GET /v1/stats.
-type CounterSource interface {
-	Counters() CounterSnapshot
 }
 
 // CounterSnapshot is a point-in-time read of a backend's activity counters,

@@ -102,48 +102,6 @@ func TestValidateID(t *testing.T) {
 	}
 }
 
-func TestMemoryStore(t *testing.T) {
-	m := NewMemory()
-	if _, err := m.Get("s_a"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("empty get: %v, want ErrNotFound", err)
-	}
-	s, _ := newTestSession(t, 5, 2, 4)
-	for _, id := range []string{"s_b", "s_a", "s_c"} {
-		if err := m.Put(id, s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := m.Get("s_a")
-	if err != nil || got != s {
-		t.Fatalf("get = %p, %v; want the stored pointer", got, err)
-	}
-	ids, err := m.List()
-	if err != nil || !reflect.DeepEqual(ids, []string{"s_a", "s_b", "s_c"}) {
-		t.Fatalf("list = %v, %v", ids, err)
-	}
-	if m.Len() != 3 {
-		t.Fatalf("len = %d, want 3", m.Len())
-	}
-	if err := m.Delete("s_b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Delete("s_b"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double delete: %v, want ErrNotFound", err)
-	}
-	if err := m.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Close(); err != nil { // idempotent
-		t.Fatal(err)
-	}
-	if _, err := m.Get("s_a"); !errors.Is(err, ErrClosed) {
-		t.Fatalf("get after close: %v, want ErrClosed", err)
-	}
-}
-
 // TestFileRoundTrip: a session persisted answer by answer (as the server's
 // dirty hook does) recovers from a fresh store instance with an identical
 // belief, and both copies driven to completion stay identical.
@@ -488,9 +446,9 @@ func TestFileListDeleteNotFound(t *testing.T) {
 	if err := st.Flush(); err != nil { // SyncNone: flush is the durability point
 		t.Fatal(err)
 	}
-	ids, err := st.List()
-	if err != nil || !reflect.DeepEqual(ids, []string{"s_a", "s_b"}) {
-		t.Fatalf("list = %v, %v", ids, err)
+	res, err := st.Scan()
+	if err != nil || !reflect.DeepEqual(res.IDs, []string{"s_a", "s_b"}) {
+		t.Fatalf("scan ids = %v, %v", res.IDs, err)
 	}
 	if err := st.Delete("s_a"); err != nil {
 		t.Fatal(err)
@@ -502,9 +460,9 @@ func TestFileListDeleteNotFound(t *testing.T) {
 	if err := st.Put("s_a", s); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("put after delete: %v, want ErrNotFound", err)
 	}
-	ids, err = st.List()
-	if err != nil || !reflect.DeepEqual(ids, []string{"s_b"}) {
-		t.Fatalf("list after delete = %v, %v", ids, err)
+	res, err = st.Scan()
+	if err != nil || !reflect.DeepEqual(res.IDs, []string{"s_b"}) {
+		t.Fatalf("scan ids after delete = %v, %v", res.IDs, err)
 	}
 }
 

@@ -29,19 +29,6 @@ type QuarantineInfo struct {
 	Time   string `json:"time,omitempty"` // RFC 3339, when it was quarantined
 }
 
-// Quarantiner is implemented by backends that can move a damaged session out
-// of the serving path instead of failing on it forever. The serving layer
-// quarantines on any ErrCorrupt hydration and lists the result with
-// state=quarantined; the data stays on disk for forensics and `crowdtopk
-// fsck`.
-type Quarantiner interface {
-	// Quarantine moves the session's data to the quarantine area with a
-	// typed reason. ErrNotFound when the store holds nothing for id.
-	Quarantine(id, reason, detail string) error
-	// Quarantined lists everything currently in the quarantine area.
-	Quarantined() ([]QuarantineInfo, error)
-}
-
 // ScanResult is what a boot scan found: the recoverable session ids, the
 // sessions sitting in quarantine (pre-existing and newly moved), and entries
 // the scan skipped because they are not usable session directories.
@@ -49,15 +36,6 @@ type ScanResult struct {
 	IDs         []string
 	Quarantined []QuarantineInfo
 	Skipped     []string
-}
-
-// Scanner is implemented by backends with a richer boot scan than List: one
-// that quarantines obviously-unrecoverable session directories (present but
-// missing their snapshot) and skips stray entries instead of failing the
-// whole scan. The serving layer prefers it over List at startup so one bad
-// directory cannot hold the boot hostage.
-type Scanner interface {
-	Scan() (ScanResult, error)
 }
 
 // QuarantineReasonFor classifies a hydration error into a typed quarantine
@@ -131,24 +109,21 @@ func (f *File) Quarantine(id, reason, detail string) error {
 	return nil
 }
 
-// Quarantined lists the quarantine area, sorted by id.
-func (f *File) Quarantined() ([]QuarantineInfo, error) {
-	entries, err := os.ReadDir(f.quarantineRoot())
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
+// quarantined lists the quarantine area under qroot, sorted by id; nil when
+// it is missing or unreadable.
+func quarantined(qroot string) []QuarantineInfo {
+	entries, err := os.ReadDir(qroot)
 	if err != nil {
-		return nil, fmt.Errorf("persist: listing quarantine area: %w", err)
+		return nil
 	}
 	var infos []QuarantineInfo
 	for _, e := range entries {
-		if !e.IsDir() || ValidateID(e.Name()) != nil {
-			continue
+		if e.IsDir() && ValidateID(e.Name()) == nil {
+			infos = append(infos, readQuarantineMarker(qroot, e.Name()))
 		}
-		infos = append(infos, readQuarantineMarker(f.quarantineRoot(), e.Name()))
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].ID < infos[j].ID })
-	return infos, nil
+	return infos
 }
 
 // readQuarantineMarker loads a quarantined session's marker, degrading to an
@@ -207,10 +182,6 @@ func (f *File) Scan() (ScanResult, error) {
 	}
 	sort.Strings(res.IDs)
 	// Includes anything Scan just moved plus quarantines from prior boots.
-	q, qerr := f.Quarantined()
-	if qerr != nil {
-		return res, nil
-	}
-	res.Quarantined = q
+	res.Quarantined = quarantined(f.quarantineRoot())
 	return res, nil
 }

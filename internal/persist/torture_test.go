@@ -30,7 +30,7 @@ func TestParseFaultSpec(t *testing.T) {
 	}
 	for _, bad := range []string{
 		"nonsense", "put.err.rate=2", "put.err.every=0", "teleport.err.rate=0.5",
-		"latency=-1s", "wedge.after=x", "put.torn.rate=nan",
+		"latency=-1s", "wedge.after=x", "put.torn.rate=nan", "list.err.every=1",
 	} {
 		if _, err := ParseFaultSpec(bad); err == nil {
 			t.Errorf("ParseFaultSpec(%q) accepted", bad)
@@ -43,7 +43,11 @@ func TestParseFaultSpec(t *testing.T) {
 // operations block until released, and Heal restores the naked backend.
 func TestFaultStoreSchedule(t *testing.T) {
 	s, _ := newTestSession(t, 5, 2, 6)
-	fs := NewFaultStore(NewMemory(), FaultSpec{ErrEvery: map[Op]int{OpPut: 3}})
+	inner, err := NewFile(FileOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := NewFaultStore(inner, FaultSpec{ErrEvery: map[Op]int{OpPut: 3}})
 	var errs int
 	for i := 1; i <= 9; i++ {
 		err := fs.Put("s_a", s)

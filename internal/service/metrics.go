@@ -3,7 +3,6 @@ package service
 import (
 	"crowdtopk/internal/obs"
 	"crowdtopk/internal/pcache"
-	"crowdtopk/internal/persist"
 	"crowdtopk/internal/selection"
 )
 
@@ -135,10 +134,10 @@ func (s *Service) registerCollectors() {
 			}
 		})
 
-	if cs, ok := st.disk.(persist.CounterSource); ok {
+	if disk := st.disk; disk != nil {
 		r.RegisterFunc("crowdtopk_persist_activity_total",
 			"Durable-store activity.", "counter", []string{"op"}, func() []obs.Sample {
-				c := cs.Counters()
+				c := disk.Counters()
 				return []obs.Sample{
 					{Labels: []string{"snapshot"}, Value: float64(c.Snapshots)},
 					{Labels: []string{"wal_append"}, Value: float64(c.WALAppends)},

@@ -490,7 +490,7 @@ type StoreStats struct {
 	// the quarantine area.
 	QuarantinedSessions int `json:"quarantined_sessions"`
 	// Persist carries the backend's own counters (snapshots, wal_appends,
-	// replays, recovered_sessions, fsyncs) when it exposes them.
+	// replays, recovered_sessions, fsyncs); absent in memory-only mode.
 	Persist *persist.CounterSnapshot `json:"persist,omitempty"`
 }
 
@@ -873,10 +873,8 @@ func (s *Service) Stats() Stats {
 		st.DegradedMode = s.store.degraded()
 		st.BreakerState = s.store.breakerState()
 		st.QuarantinedSessions = s.store.quarantinedCount()
-		if cs, ok := s.store.disk.(persist.CounterSource); ok {
-			c := cs.Counters()
-			st.Persist = &c
-		}
+		c := s.store.disk.Counters()
+		st.Persist = &c
 	}
 	return Stats{
 		Sessions:     s.store.len(),

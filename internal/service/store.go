@@ -24,14 +24,14 @@ var ErrNotFound = errors.New("service: no such session")
 // ErrFull reports that the store is at its session capacity.
 var ErrFull = errors.New("service: session limit reached")
 
-// meta is the store's bookkeeping for one known session — live or resident
-// only in the durable backend. All fields are guarded by store.mu; the
-// session itself lives in the memory tier and serializes its own
-// transitions.
+// meta is the store's entry for one known session — live or resident only
+// in the durable backend. All fields are guarded by store.mu; the session
+// serializes its own transitions.
 type meta struct {
 	lastUsed time.Time
-	// hydrated: the session object is in the memory tier.
-	hydrated bool
+	// sess is the resident session object, nil while the session lives only
+	// in the durable backend.
+	sess *session.Session
 	// persisted: a durable copy exists (possibly stale while dirty).
 	persisted bool
 	// dirtyGen counts accepted answers (and other persist-worthy events);
@@ -49,22 +49,21 @@ type meta struct {
 	quarantineReason string
 }
 
-// store layers the server's session registry over the persist subsystem:
-// live sessions sit in a sharded in-memory tier (persist.Memory), and — when
-// a durable backend is configured — every accepted answer is asynchronously
-// appended to it, idle sessions are evicted to it instead of dropped, and
-// misses hydrate from it lazily. Without a durable backend the behavior is
-// exactly the pre-persistence server: TTL eviction drops sessions for good.
+// store is the server's session registry: one table of known sessions, each
+// entry holding its resident session object. When a durable backend is
+// configured every accepted answer is asynchronously appended to it, idle
+// sessions are evicted to it instead of dropped, and entries without a
+// resident session hydrate from it lazily. Without a durable backend TTL
+// eviction drops sessions for good.
 type store struct {
 	ttl          time.Duration
 	max          int
 	log          *slog.Logger
 	closeTimeout time.Duration // bound on the shutdown drain
 
-	live *persist.Memory // hydrated sessions (the cache tier)
-	disk persist.Store   // nil in memory-only mode
-	bg   *persister      // nil in memory-only mode
-	brk  *breaker        // nil in memory-only mode
+	disk persist.Store // nil in memory-only mode
+	bg   *persister    // nil in memory-only mode
+	brk  *breaker      // nil in memory-only mode
 
 	// bootScanned flips once the durable backend's id scan completed (true
 	// from construction in memory-only mode); persistFailing tracks whether
@@ -73,10 +72,10 @@ type store struct {
 	persistFailing atomic.Bool
 
 	mu        sync.Mutex
-	meta      map[string]*meta
+	meta      map[string]*meta         // nil once closed
 	hydrating map[string]chan struct{} // singleflight per hydrating id
 	reserved  int                      // capacity claimed by creates still building
-	hydrated  int                      // count of meta entries with hydrated=true
+	resident  int                      // count of meta entries holding a session
 
 	evictions        atomic.Uint64 // sessions moved memory → disk by the janitor
 	evictionsRefused atomic.Uint64 // evictions refused to protect unpersisted answers
@@ -93,10 +92,10 @@ type store struct {
 // newStore builds the registry. With a durable backend it scans the backend
 // once so every persisted session is addressable immediately after a
 // restart (the scan reads ids only; sessions hydrate lazily on first
-// access). Individual unreadable session directories are skipped (or
-// quarantined, for backends that can) with a warning — startup fails only
-// when the data dir itself is unusable. onBreaker, if non-nil, observes
-// durable-tier circuit breaker transitions (for audit/metrics).
+// access). Individual unreadable session directories are skipped or
+// quarantined with a warning — startup fails only when the data dir itself
+// is unusable. onBreaker, if non-nil, observes durable-tier circuit breaker
+// transitions (for audit/metrics).
 func newStore(ttl time.Duration, max int, disk persist.Store, log *slog.Logger,
 	closeTimeout time.Duration, onBreaker func(from, to string)) (*store, error) {
 	if closeTimeout <= 0 {
@@ -107,7 +106,6 @@ func newStore(ttl time.Duration, max int, disk persist.Store, log *slog.Logger,
 		max:          max,
 		log:          log,
 		closeTimeout: closeTimeout,
-		live:         persist.NewMemory(),
 		disk:         disk,
 		meta:         make(map[string]*meta),
 		hydrating:    make(map[string]chan struct{}),
@@ -116,30 +114,18 @@ func newStore(ttl time.Duration, max int, disk persist.Store, log *slog.Logger,
 	}
 	if disk != nil {
 		start := time.Now()
-		var ids []string
-		var quarantined []persist.QuarantineInfo
-		if sc, ok := disk.(persist.Scanner); ok {
-			res, err := sc.Scan()
-			if err != nil {
-				return nil, fmt.Errorf("service: scanning persisted sessions: %w", err)
-			}
-			ids = res.IDs
-			quarantined = res.Quarantined
-			for _, name := range res.Skipped {
-				s.log.Warn("store: boot scan skipped unusable entry", "entry", name)
-			}
-		} else {
-			var err error
-			ids, err = disk.List()
-			if err != nil {
-				return nil, fmt.Errorf("service: scanning persisted sessions: %w", err)
-			}
+		res, err := disk.Scan()
+		if err != nil {
+			return nil, fmt.Errorf("service: scanning persisted sessions: %w", err)
+		}
+		for _, name := range res.Skipped {
+			s.log.Warn("store: boot scan skipped unusable entry", "entry", name)
 		}
 		now := time.Now()
-		for _, id := range ids {
+		for _, id := range res.IDs {
 			s.meta[id] = &meta{lastUsed: now, persisted: true}
 		}
-		for _, q := range quarantined {
+		for _, q := range res.Quarantined {
 			s.meta[q.ID] = &meta{lastUsed: now, quarantined: true, quarantineReason: q.Reason}
 		}
 		s.brk = newBreaker(func(from, to breakerState) {
@@ -149,8 +135,8 @@ func newStore(ttl time.Duration, max int, disk persist.Store, log *slog.Logger,
 			}
 		})
 		s.bg = newPersister(s.persistOne, s.brk, log)
-		s.log.Info("store: boot scan complete", "persisted_sessions", len(ids),
-			"quarantined_sessions", len(quarantined), "duration", time.Since(start))
+		s.log.Info("store: boot scan complete", "persisted_sessions", len(res.IDs),
+			"quarantined_sessions", len(res.Quarantined), "duration", time.Since(start))
 	}
 	s.bootScanned.Store(true)
 	go s.janitor()
@@ -169,11 +155,11 @@ func newID() (string, error) {
 // reserve claims capacity for a session about to be built, so load shedding
 // happens before the expensive tree construction rather than after it. The
 // reservation is consumed by add or returned with unreserve. Capacity
-// bounds hydrated (in-memory) sessions: disk residency is not load.
+// bounds resident (in-memory) sessions: disk residency is not load.
 func (s *store) reserve() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.max > 0 && s.hydrated+s.reserved >= s.max {
+	if s.max > 0 && s.resident+s.reserved >= s.max {
 		return ErrFull
 	}
 	s.reserved++
@@ -189,31 +175,24 @@ func (s *store) unreserve() {
 
 // add registers a session under a fresh id, consuming one reservation made
 // with reserve (which guarantees room). With a durable backend the new
-// session is queued for its initial snapshot right away.
+// session is queued for its initial snapshot right away. A closed store
+// refuses with persist.ErrClosed.
 func (s *store) add(sess *session.Session) (string, error) {
 	id, err := newID()
-	now := time.Now()
+	if err != nil {
+		s.unreserve()
+		return "", err
+	}
+	s.watch(id, sess) // before the id is reachable, so no answer misses the hook
 	s.mu.Lock()
 	s.reserved--
-	if err != nil {
+	if s.meta == nil {
 		s.mu.Unlock()
-		return "", err
+		return "", persist.ErrClosed
 	}
-	s.meta[id] = &meta{lastUsed: now, hydrated: true, dirtyGen: 1}
-	s.hydrated++
+	s.meta[id] = &meta{lastUsed: time.Now(), sess: sess, dirtyGen: 1}
+	s.resident++
 	s.mu.Unlock()
-	if err := s.live.Put(id, sess); err != nil {
-		// Roll the registration back: a meta entry without a live session
-		// would hold a MaxSessions slot forever.
-		s.mu.Lock()
-		if m := s.meta[id]; m != nil && m.hydrated {
-			s.hydrated--
-		}
-		delete(s.meta, id)
-		s.mu.Unlock()
-		return "", err
-	}
-	s.watch(id, sess)
 	if s.bg != nil {
 		// Queue the initial snapshot. This only enqueues it: the create is
 		// acknowledged before the write, and answers accepted before the
@@ -246,26 +225,23 @@ func (s *store) markDirty(id string, sess *session.Session) {
 		return
 	}
 	m.dirtyGen++
-	cur, err := s.live.Get(id)
-	if err != nil || cur != sess {
+	if cur := m.sess; cur != sess {
 		// The handler outlived sess's residency: a TTL eviction released it
-		// (err != nil), or a lazy hydration raced this answer and re-loaded
-		// the older disk copy under the same id (cur != sess) — a fork.
-		// Either way the resident object is missing the answer that was just
-		// acked on sess, and the durable write this call queues would persist
-		// a copy without it. Re-attach sess — unless the resident fork has
-		// itself accepted strictly more answers, in which case the lines
-		// cannot be merged and we keep the one holding more acked progress
-		// (ties favor sess: in the eviction→hydration race the disk copy cur
-		// was loaded from is a prefix of sess's history).
-		if err != nil || sess.Status().Asked >= cur.Status().Asked {
-			if perr := s.live.Put(id, sess); perr == nil {
-				if !m.hydrated {
-					m.hydrated = true
-					s.hydrated++
-				}
-				m.lastUsed = time.Now()
+		// (cur == nil), or a lazy hydration raced this answer and re-loaded
+		// the older disk copy under the same id — a fork. Either way the
+		// resident object is missing the answer that was just acked on sess,
+		// and the durable write this call queues would persist a copy
+		// without it. Re-attach sess — unless the resident fork has itself
+		// accepted strictly more answers, in which case the lines cannot be
+		// merged and we keep the one holding more acked progress (ties favor
+		// sess: in the eviction→hydration race the disk copy cur was loaded
+		// from is a prefix of sess's history).
+		if cur == nil || sess.Status().Asked >= cur.Status().Asked {
+			if cur == nil {
+				s.resident++
 			}
+			m.sess = sess
+			m.lastUsed = time.Now()
 		}
 	}
 	s.mu.Unlock()
@@ -280,20 +256,16 @@ func (s *store) markDirty(id string, sess *session.Session) {
 func (s *store) persistOne(id string) error {
 	s.mu.Lock()
 	m := s.meta[id]
-	if m == nil || !m.hydrated || m.quarantined {
+	if m == nil || m.sess == nil || m.quarantined {
 		s.mu.Unlock()
 		return nil
 	}
-	gen := m.dirtyGen
+	gen, sess := m.dirtyGen, m.sess
 	if m.persisted && gen == m.persistedGen {
 		s.mu.Unlock()
 		return nil
 	}
 	s.mu.Unlock()
-	sess, err := s.live.Get(id)
-	if err != nil {
-		return nil // evicted or deleted in the window
-	}
 	if err := s.disk.Put(id, sess); err != nil {
 		// The answers are still live in memory; the persister retries with
 		// backoff until the write lands, so a transient disk error heals
@@ -333,16 +305,10 @@ func (s *store) get(ctx context.Context, id string) (*session.Session, error) {
 			s.mu.Unlock()
 			return nil, &QuarantinedError{ID: id, Reason: reason}
 		}
-		if m != nil && m.hydrated {
+		if m != nil && m.sess != nil {
 			m.lastUsed = time.Now()
+			sess := m.sess
 			s.mu.Unlock()
-			sess, err := s.live.Get(id)
-			if err != nil {
-				if s.disk != nil {
-					continue // a remove/evict won the window; retry resolves it
-				}
-				return nil, ErrNotFound
-			}
 			return sess, nil
 		}
 		// Unknown ids are misses even with a durable backend: the boot scan
@@ -380,7 +346,7 @@ func (s *store) get(ctx context.Context, id string) (*session.Session, error) {
 	}
 }
 
-// hydrate loads one session from the durable backend into the memory tier.
+// hydrate loads one session from the durable backend into its table entry.
 // Runs outside s.mu (recovery rebuilds the tree); the caller holds the
 // singleflight slot for id.
 func (s *store) hydrate(id string) (*session.Session, error) {
@@ -388,7 +354,7 @@ func (s *store) hydrate(id string) (*session.Session, error) {
 	if errors.Is(err, persist.ErrNotFound) {
 		s.hydraMisses.Add(1)
 		s.mu.Lock()
-		if m := s.meta[id]; m != nil && !m.hydrated {
+		if m := s.meta[id]; m != nil && m.sess == nil {
 			delete(s.meta, id) // the backend lost it out from under us
 		}
 		s.mu.Unlock()
@@ -406,6 +372,7 @@ func (s *store) hydrate(id string) (*session.Session, error) {
 		// invalid client input.
 		return nil, &StorageError{Op: "hydrating session " + id, Err: err}
 	}
+	s.watch(id, sess) // before the object is reachable, so no answer misses the hook
 	s.mu.Lock()
 	m := s.meta[id]
 	if m == nil {
@@ -414,50 +381,37 @@ func (s *store) hydrate(id string) (*session.Session, error) {
 		s.mu.Unlock()
 		return nil, ErrNotFound
 	}
-	if m.hydrated {
+	if live := m.sess; live != nil {
 		// Re-attached while we were loading (markDirty on an in-flight
 		// answer): the live object is strictly newer than the disk copy we
 		// read — keep it.
 		s.mu.Unlock()
-		live, lerr := s.live.Get(id)
-		if lerr != nil {
-			return nil, ErrNotFound // gone again already; client retries
-		}
 		return live, nil
 	}
-	if err := s.live.Put(id, sess); err != nil {
-		s.mu.Unlock()
-		return nil, err
-	}
-	m.hydrated = true
-	s.hydrated++
+	m.sess = sess
+	s.resident++
 	m.persisted = true
 	m.persistedGen = m.dirtyGen // the restored state is durable by definition
 	m.lastUsed = time.Now()
 	s.mu.Unlock()
-	s.watch(id, sess)
 	s.hydraHits.Add(1)
 	s.log.Info("store: session hydrated from durable backend", "session", id)
 	return sess, nil
 }
 
 // quarantine moves a corrupt session's durable data out of the serving path
-// (when the backend supports it) and marks its meta entry quarantined, so
-// the id stops 500ing on every hydration and is listed with a typed reason
-// instead. Returns the error to serve, or nil when the backend cannot
-// quarantine (the caller falls back to a plain storage error).
+// and marks its meta entry quarantined, so the id stops 500ing on every
+// hydration and is listed with a typed reason instead. Returns the error to
+// serve, or nil when the move failed (the caller falls back to a plain
+// storage error).
 func (s *store) quarantine(id string, cause error) error {
-	q, ok := s.disk.(persist.Quarantiner)
-	if !ok {
-		return nil
-	}
 	reason, detail := persist.QuarantineReasonFor(cause)
-	if err := q.Quarantine(id, reason, detail); err != nil {
+	if err := s.disk.Quarantine(id, reason, detail); err != nil {
 		s.log.Warn("store: quarantining corrupt session failed", "session", id, "error", err)
 		return nil
 	}
 	s.mu.Lock()
-	if m := s.meta[id]; m != nil && !m.hydrated {
+	if m := s.meta[id]; m != nil && m.sess == nil {
 		m.quarantined = true
 		m.quarantineReason = reason
 		m.persisted = false
@@ -479,12 +433,11 @@ func (s *store) remove(id string) bool {
 		s.mu.Unlock()
 		return false
 	}
-	if m.hydrated {
-		s.hydrated--
+	if m.sess != nil {
+		s.resident--
 	}
 	delete(s.meta, id)
 	s.mu.Unlock()
-	_ = s.live.Delete(id)
 	if s.disk != nil {
 		_ = s.disk.Delete(id) // ErrNotFound fine: never persisted yet
 	}
@@ -495,7 +448,7 @@ func (s *store) remove(id string) bool {
 func (s *store) len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.hydrated
+	return s.resident
 }
 
 // known returns the number of sessions the store can serve, including those
@@ -511,7 +464,7 @@ func (s *store) known() int {
 func (s *store) saturated() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.max > 0 && s.hydrated+s.reserved >= s.max
+	return s.max > 0 && s.resident+s.reserved >= s.max
 }
 
 // stateCounts tallies live sessions by lifecycle state (plus "disk" for
@@ -521,19 +474,16 @@ func (s *store) saturated() bool {
 // mid-answer would otherwise stall every scrape.
 func (s *store) stateCounts() map[string]int {
 	s.mu.Lock()
-	sessions := make([]*session.Session, 0, s.hydrated)
+	sessions := make([]*session.Session, 0, s.resident)
 	disk, quarantined := 0, 0
-	for id, m := range s.meta {
-		if m.quarantined {
+	for _, m := range s.meta {
+		switch {
+		case m.quarantined:
 			quarantined++
-			continue
-		}
-		if !m.hydrated {
+		case m.sess == nil:
 			disk++
-			continue
-		}
-		if sess, err := s.live.Get(id); err == nil {
-			sessions = append(sessions, sess)
+		default:
+			sessions = append(sessions, m.sess)
 		}
 	}
 	s.mu.Unlock()
@@ -560,7 +510,7 @@ type listItem struct {
 	quarantined bool
 	quarReason  string
 	// sess is the resident session object, captured under the same lock
-	// hold that read hydrated. Re-resolving the id after list returns would
+	// hold that read the entry. Re-resolving the id after list returns would
 	// race deletes and evictions, producing rows that claim a live session
 	// but carry none of its state; nil here means the row is disk-only.
 	sess *session.Session
@@ -585,25 +535,16 @@ func (s *store) list(limit int) (items []listItem, total int) {
 	items = make([]listItem, 0, len(ids))
 	for _, id := range ids {
 		m := s.meta[id]
-		it := listItem{
+		items = append(items, listItem{
 			id:          id,
 			idle:        now.Sub(m.lastUsed),
-			hydrated:    m.hydrated,
+			hydrated:    m.sess != nil,
 			persisted:   m.persisted,
 			persistErr:  m.lastErr,
 			quarantined: m.quarantined,
 			quarReason:  m.quarantineReason,
-		}
-		if it.hydrated {
-			if sess, err := s.live.Get(id); err == nil {
-				it.sess = sess
-			} else {
-				// add registers meta before the memory tier holds the
-				// session; in that window the row is not usefully live yet.
-				it.hydrated = false
-			}
-		}
-		items = append(items, it)
+			sess:        m.sess,
+		})
 	}
 	s.mu.Unlock()
 	return items, total
@@ -616,12 +557,18 @@ func (s *store) flush() {
 		return
 	}
 	s.bg.flush()
-	// Catch stragglers the queue never saw (e.g. a markDirty racing the
-	// flush): persist anything still marked dirty, synchronously.
+	s.persistStragglers()
+	_ = s.disk.Flush()
+}
+
+// persistStragglers synchronously persists every resident session still
+// marked dirty after the persister's drain — a markDirty racing the drain
+// can leave work the queue never saw.
+func (s *store) persistStragglers() {
 	s.mu.Lock()
 	var pending []string
 	for id, m := range s.meta {
-		if m.hydrated && (!m.persisted || m.dirtyGen > m.persistedGen) {
+		if m.sess != nil && (!m.persisted || m.dirtyGen > m.persistedGen) {
 			pending = append(pending, id)
 		}
 	}
@@ -629,7 +576,6 @@ func (s *store) flush() {
 	for _, id := range pending {
 		_ = s.persistOne(id)
 	}
-	_ = s.disk.Flush()
 }
 
 // degraded reports whether the durable tier's circuit breaker is non-closed:
@@ -661,9 +607,9 @@ func (s *store) quarantinedCount() int {
 
 // close stops the janitor and the persister (pushing pending writes under
 // the shutdown deadline — a wedged backend must not hang SIGTERM forever),
-// then drops every live session. It is idempotent, so embedders that both
-// defer Close and call it on a shutdown-signal path do not panic on the
-// second call.
+// then drops the session table; later adds fail with persist.ErrClosed. It
+// is idempotent, so embedders that both defer Close and call it on a
+// shutdown-signal path do not panic on the second call.
 func (s *store) close() {
 	s.closeOnce.Do(func() {
 		close(s.stop)
@@ -676,19 +622,7 @@ func (s *store) close() {
 					"count", len(left), "sessions", left,
 					"timeout", s.closeTimeout.String())
 			} else {
-				// Catch stragglers the queue never saw (a markDirty racing
-				// the drain), then sync the backend.
-				s.mu.Lock()
-				var pending []string
-				for id, m := range s.meta {
-					if m.hydrated && (!m.persisted || m.dirtyGen > m.persistedGen) {
-						pending = append(pending, id)
-					}
-				}
-				s.mu.Unlock()
-				for _, id := range pending {
-					_ = s.persistOne(id)
-				}
+				s.persistStragglers()
 			}
 			// Flush and close under what remains of the deadline: both can
 			// block indefinitely on a wedged backend.
@@ -710,10 +644,9 @@ func (s *store) close() {
 			}
 		}
 		s.mu.Lock()
-		s.meta = make(map[string]*meta)
-		s.hydrated = 0
+		s.meta = nil
+		s.resident = 0
 		s.mu.Unlock()
-		_ = s.live.Close()
 	})
 }
 
@@ -746,27 +679,20 @@ func (s *store) janitor() {
 
 // evictIdle moves idle live sessions out of memory: dropped for good in
 // memory-only mode (the original TTL semantics), persisted to the durable
-// backend and released otherwise — the memory tier is then just a cache.
+// backend and released otherwise — memory is then just a cache.
 func (s *store) evictIdle(now time.Time) {
 	s.mu.Lock()
 	var idle []string
 	for id, m := range s.meta {
-		if m.hydrated && now.Sub(m.lastUsed) > s.ttl {
-			idle = append(idle, id)
+		if m.sess == nil || now.Sub(m.lastUsed) <= s.ttl {
+			continue
 		}
-	}
-	if s.disk == nil {
-		for _, id := range idle {
-			if m := s.meta[id]; m != nil && m.hydrated {
-				s.hydrated--
-			}
+		if s.disk == nil {
 			delete(s.meta, id)
+			s.resident--
+			continue
 		}
-		s.mu.Unlock()
-		for _, id := range idle {
-			_ = s.live.Delete(id)
-		}
-		return
+		idle = append(idle, id)
 	}
 	s.mu.Unlock()
 	for _, id := range idle {
@@ -789,7 +715,7 @@ func (s *store) evictToDisk(id string, now time.Time) {
 	_ = s.persistOne(id)
 	s.mu.Lock()
 	m := s.meta[id]
-	if m == nil || !m.hydrated {
+	if m == nil || m.sess == nil {
 		s.mu.Unlock()
 		return
 	}
@@ -806,9 +732,8 @@ func (s *store) evictToDisk(id string, now time.Time) {
 		s.bg.enqueue(id)
 		return
 	}
-	m.hydrated = false
-	s.hydrated--
-	_ = s.live.Delete(id)
+	m.sess = nil
+	s.resident--
 	s.mu.Unlock()
 	s.evictions.Add(1)
 	s.log.Debug("store: idle session evicted to disk", "session", id)

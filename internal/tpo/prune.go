@@ -55,31 +55,34 @@ func (t *Tree) Reweight(a Answer, accuracy float64) error {
 }
 
 func (t *Tree) applyAnswer(a Answer, accuracy float64) error {
-	type saved struct {
-		n *Node
-		p float64
+	// renormalize fails exactly when no leaf keeps a positive weight, so a
+	// contradiction is found before anything is mutated: the first surviving
+	// leaf ends the search.
+	if !t.anyLeaf(func(n *Node, path rank.Ordering) bool {
+		return n.Prob*likelihood(path, a, accuracy) > 0
+	}) {
+		return fmt.Errorf("%s: %w", a, ErrContradiction)
 	}
-	var undo []saved
 	t.walkLeaves(func(n *Node, path rank.Ordering) {
-		undo = append(undo, saved{n, n.Prob})
-		switch PathConsistency(path, a) {
-		case Consistent:
-			n.Prob *= accuracy
-		case Inconsistent:
-			n.Prob *= 1 - accuracy
-		case Undetermined:
-			// The answer observation likelihood is the same for both
-			// hypothetical orders of the pair below rank K; it cancels in
-			// the renormalization, so the weight is unchanged.
-		}
+		n.Prob *= likelihood(path, a, accuracy)
 	})
-	if err := t.renormalize(); err != nil {
-		for _, s := range undo {
-			s.n.Prob = s.p
-		}
-		return fmt.Errorf("%s: %w", a, err)
+	return t.renormalize() // cannot fail: a leaf keeps a positive weight
+}
+
+// likelihood is the factor an answer scales a leaf's weight by: accuracy for
+// a consistent path, 1−accuracy for an inconsistent one. For an undetermined
+// path the observation likelihood is the same for both hypothetical orders
+// of the pair below rank K; it cancels in the renormalization, so the factor
+// is 1 and the weight is unchanged.
+func likelihood(path rank.Ordering, a Answer, accuracy float64) float64 {
+	switch PathConsistency(path, a) {
+	case Consistent:
+		return accuracy
+	case Inconsistent:
+		return 1 - accuracy
+	default:
+		return 1
 	}
-	return nil
 }
 
 // RelevantQuestions returns Q_K: the canonical questions over tuple pairs

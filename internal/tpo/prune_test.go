@@ -2,6 +2,7 @@ package tpo
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"crowdtopk/internal/dist"
@@ -110,6 +111,53 @@ func TestPruneContradictionRollsBack(t *testing.T) {
 	if err := tree.Validate(); err != nil {
 		t.Fatal(err)
 	}
+
+	// A contradiction across several leaves, on weights a noisy answer has
+	// skewed first, must leave every node's weight bit for bit as it was.
+	tree, err = Build(iidUniforms(t, 3), 2, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Reweight(Answer{Q: NewQuestion(0, 2), Yes: true}, 0.7); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Prune(a); err != nil {
+		t.Fatal(err)
+	}
+	if n := tree.NumLeaves(); n < 2 {
+		t.Fatalf("%d leaves left, want several", n)
+	}
+	bits := weightBits(tree)
+	err = tree.Prune(Answer{Q: NewQuestion(0, 1), Yes: false})
+	if !errors.Is(err, ErrContradiction) {
+		t.Fatalf("err = %v, want ErrContradiction", err)
+	}
+	got := weightBits(tree)
+	if len(got) != len(bits) {
+		t.Fatalf("tree has %d nodes after the contradiction, want %d", len(got), len(bits))
+	}
+	for i := range bits {
+		if got[i] != bits[i] {
+			t.Fatalf("node %d weight %g, want %g", i, math.Float64frombits(got[i]), math.Float64frombits(bits[i]))
+		}
+	}
+	if err := tree.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// weightBits lists every node's probability bits in depth-first order.
+func weightBits(t *Tree) []uint64 {
+	var out []uint64
+	var rec func(n *Node)
+	rec = func(n *Node) {
+		out = append(out, math.Float64bits(n.Prob))
+		for _, c := range n.Children {
+			rec(c)
+		}
+	}
+	rec(t.Root)
+	return out
 }
 
 func TestReweightAccuracyOneEqualsPrune(t *testing.T) {

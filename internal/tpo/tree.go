@@ -98,22 +98,32 @@ func (t *Tree) NumNodes() int {
 // passing the path (prefix ordering) leading to it. The path slice is reused
 // between calls; fn must copy it to retain it.
 func (t *Tree) walkLeaves(fn func(leaf *Node, path rank.Ordering)) {
+	t.anyLeaf(func(n *Node, path rank.Ordering) bool {
+		fn(n, path)
+		return false
+	})
+}
+
+// anyLeaf walks the leaves as walkLeaves does and stops at the first one
+// for which pred is true, reporting whether there was one.
+func (t *Tree) anyLeaf(pred func(leaf *Node, path rank.Ordering) bool) bool {
 	path := make(rank.Ordering, 0, t.depth)
-	var rec func(n *Node)
-	rec = func(n *Node) {
+	var rec func(n *Node) bool
+	rec = func(n *Node) bool {
 		if n.depth == t.depth {
-			if n != t.Root {
-				fn(n, path)
-			}
-			return
+			return n != t.Root && pred(n, path)
 		}
 		for _, c := range n.Children {
 			path = append(path, c.Tuple)
-			rec(c)
+			found := rec(c)
 			path = path[:len(path)-1]
+			if found {
+				return true
+			}
 		}
+		return false
 	}
-	rec(t.Root)
+	return rec(t.Root)
 }
 
 // LeafSet is the flat view of a tree's leaves: the possible top-K prefix

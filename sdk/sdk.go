@@ -84,9 +84,10 @@ type Options struct {
 type Storage struct {
 	// Dir is the data directory; sessions live under Dir/sessions/<id>/.
 	Dir string
-	// Fsync is the WAL durability policy: "always" (default — each
-	// accepted answer batch survives power loss) or "none" (page cache,
-	// flushed on Close).
+	// Fsync is the WAL durability policy: "always" (default — every WAL
+	// append is fsynced, so an answer survives power loss once the
+	// background persister has written it; answers are acknowledged before
+	// that write) or "none" (page cache, flushed on Close).
 	Fsync string
 	// SnapshotEvery compacts a session's WAL into a fresh snapshot after
 	// this many appended answers (0 = the store default).
