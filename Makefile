@@ -10,10 +10,8 @@
 # next to the code.
 
 BENCHTIME ?= 20x
-LOADGEN_DURATION ?= 10s
-LOADGEN_LEVELS ?= 1,4,16
 
-.PHONY: test race bench bench-smoke bench-serve
+.PHONY: test race bench bench-smoke
 
 test:
 	go build ./... && go vet ./... && go test ./...
@@ -32,15 +30,3 @@ bench:
 # their differences are printed, not gated; CI gates them in a 20x run.
 bench-smoke:
 	go run ./cmd/benchreport -benchtime 1x -out /tmp/BENCH_selection.json -compare BENCH_selection.json
-
-# Capacity recording: boot a real serve process, sweep concurrency levels
-# with the loadgen harness, and refresh BENCH_serve.json in place (throughput
-# + p50/p95/p99 per-route latencies + shed/degraded counts per level).
-bench-serve:
-	go build -o /tmp/crowdtopk-bench ./cmd/crowdtopk
-	/tmp/crowdtopk-bench serve -addr 127.0.0.1:18097 -log-format json >/tmp/crowdtopk-bench-serve.log 2>&1 & \
-	SERVE_PID=$$!; \
-	trap "kill $$SERVE_PID 2>/dev/null || true" EXIT; \
-	for i in $$(seq 1 50); do curl -sf http://127.0.0.1:18097/health >/dev/null && break; sleep 0.2; done; \
-	/tmp/crowdtopk-bench loadgen -target http://127.0.0.1:18097 -concurrency $(LOADGEN_LEVELS) -duration $(LOADGEN_DURATION) -out BENCH_serve.json; \
-	kill $$SERVE_PID 2>/dev/null || true

@@ -26,15 +26,34 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/exec"
 	"strconv"
 	"strings"
-
-	"crowdtopk/internal/benchfmt"
 )
+
+// Result is one benchmark line of a report.
+type Result struct {
+	Name    string             `json:"name"`
+	Iters   int64              `json:"iterations"`
+	NsPerOp float64            `json:"ns_per_op"`
+	BPerOp  float64            `json:"bytes_per_op,omitempty"`
+	Allocs  float64            `json:"allocs_per_op,omitempty"`
+	Metrics map[string]float64 `json:"metrics,omitempty"`
+}
+
+// Report is the file schema of BENCH_selection.json.
+type Report struct {
+	Bench     string   `json:"bench"`
+	Benchtime string   `json:"benchtime"`
+	GoOS      string   `json:"goos,omitempty"`
+	GoArch    string   `json:"goarch,omitempty"`
+	CPU       string   `json:"cpu,omitempty"`
+	Results   []Result `json:"results"`
+}
 
 // defaultBench covers the residual-sweep primitives, the end-to-end figure
 // benchmark they dominate, the durability family (WAL append, snapshot
@@ -78,14 +97,14 @@ func main() {
 	rep.Bench = *bench
 	rep.Benchtime = *benchtime
 
-	if err := benchfmt.WriteFile(*out, rep); err != nil {
+	if err := writeReport(*out, rep); err != nil {
 		fmt.Fprintf(os.Stderr, "benchreport: %v\n", err)
 		os.Exit(1)
 	}
 	fmt.Printf("benchreport: %d benchmarks → %s\n", len(rep.Results), *out)
 
 	if *compare != "" {
-		base, err := benchfmt.ReadFile(*compare)
+		base, err := readReport(*compare)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchreport: compare: %v\n", err)
 			return
@@ -110,11 +129,33 @@ func main() {
 	}
 }
 
+// writeReport marshals the report (indented, trailing newline) to path.
+func writeReport(path string, rep *Report) error {
+	data, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
+// readReport loads a report written by writeReport.
+func readReport(path string) (*Report, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var rep Report
+	if err := json.Unmarshal(data, &rep); err != nil {
+		return nil, err
+	}
+	return &rep, nil
+}
+
 // parse extracts benchmark lines from go test output. Format per line:
 //
 //	BenchmarkName-8   <iters>   <v> ns/op   [<v> unit]...
-func parse(out string) *benchfmt.Report {
-	rep := &benchfmt.Report{}
+func parse(out string) *Report {
+	rep := &Report{}
 	for _, line := range strings.Split(out, "\n") {
 		switch {
 		case strings.HasPrefix(line, "goos:"):
@@ -143,7 +184,7 @@ func parse(out string) *benchfmt.Report {
 		if err != nil {
 			continue
 		}
-		r := benchfmt.Result{Name: name, Iters: iters}
+		r := Result{Name: name, Iters: iters}
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -169,8 +210,8 @@ func parse(out string) *benchfmt.Report {
 }
 
 // diff prints fresh/recorded ratios for benchmarks present in both reports.
-func diff(path string, base, fresh *benchfmt.Report) {
-	byName := make(map[string]benchfmt.Result, len(base.Results))
+func diff(path string, base, fresh *Report) {
+	byName := make(map[string]Result, len(base.Results))
 	for _, r := range base.Results {
 		byName[r.Name] = r
 	}
@@ -191,8 +232,8 @@ func diff(path string, base, fresh *benchfmt.Report) {
 // qualityDiffs lists every recorded result-quality row whose gated metrics
 // the fresh run reports differently, or does not report. A fresh run that
 // holds no such row at all (another -bench selection) is not compared.
-func qualityDiffs(base, fresh *benchfmt.Report) []string {
-	byName := make(map[string]benchfmt.Result, len(fresh.Results))
+func qualityDiffs(base, fresh *Report) []string {
+	byName := make(map[string]Result, len(fresh.Results))
 	for _, r := range fresh.Results {
 		if strings.HasPrefix(r.Name, qualityPrefix) {
 			byName[r.Name] = r

@@ -10,7 +10,6 @@
 //	crowdtopk demo -n 6 -k 3 -budget 8 [-accuracy 0.8]
 //	crowdtopk serve -addr :8080 [-workers 0 -ttl 30m -max-sessions 0]
 //	crowdtopk fsck -data-dir /var/lib/crowdtopk [-repair -deep -format json]
-//	crowdtopk loadgen [-target http://127.0.0.1:8080 -concurrency 1,4,16 -duration 10s -out BENCH_serve.json]
 //	crowdtopk version
 //	crowdtopk list
 package main
@@ -45,8 +44,6 @@ func main() {
 		err = cmdServe(os.Args[2:])
 	case "fsck":
 		err = cmdFsck(os.Args[2:])
-	case "loadgen":
-		err = cmdLoadgen(os.Args[2:])
 	case "version":
 		err = cmdVersion()
 	case "list":
@@ -74,7 +71,6 @@ commands:
   demo  run an end-to-end query against a simulated crowd
   serve run the asynchronous query-session HTTP API
   fsck  check (and optionally repair) a serve -data-dir offline
-  loadgen  sweep concurrency levels against a serve (or the in-process SDK) and record BENCH_serve.json
   version  print the binary's build identity
   list  list available experiments and algorithms`)
 }

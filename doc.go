@@ -188,7 +188,7 @@
 // hypothetical answer copies indices, never paths. Pairwise probabilities
 // are resolved once per sweep into a dense matrix, measures evaluate
 // weight/path views in place without normalized copies
-// (uncertainty.ViewMeasure), and candidate questions fan across a
+// (uncertainty.Measure's ValueView), and candidate questions fan across a
 // configurable worker count with deterministic output. It is the only
 // selection path: every tree leaf set has the rectangular shape the arena
 // needs. The README's Performance section records the measured effect
@@ -254,9 +254,5 @@
 // trees are served from a bounded ring at GET /debug/traces, and the trace
 // id links each trace to its access-log line and audit events. A rate-0
 // tracer (the default for embedders) is fully inert: spans are nil and the
-// hot paths pay nothing. `crowdtopk loadgen` closes the loop on capacity —
-// it sweeps concurrency levels of full simulated-crowd session lifecycles
-// against a serve process (or the in-process SDK) and records throughput
-// and per-route latency percentiles into BENCH_serve.json (make
-// bench-serve).
+// hot paths pay nothing.
 package crowdtopk

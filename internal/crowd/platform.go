@@ -44,16 +44,8 @@ func (w *Worker) Answer(truth *GroundTruth, q tpo.Question) tpo.Answer {
 	return a
 }
 
-// Assignment records one task routed to one worker, for audit and statistics.
-type Assignment struct {
-	Worker  string
-	Q       tpo.Question
-	A       tpo.Answer
-	Correct bool
-}
-
 // Platform simulates a crowdsourcing marketplace: a pool of workers, random
-// task routing, optional majority-vote aggregation, and cost accounting.
+// task routing and optional majority-vote aggregation.
 type Platform struct {
 	truth   *GroundTruth
 	workers []*Worker
@@ -66,15 +58,11 @@ type Platform struct {
 	// ties in one direction would bias answers while Reliability() reports
 	// the accuracy of an odd panel. See effectiveVotes.
 	Votes int
-	// UnitCost is the monetary cost per worker-answer.
-	UnitCost float64
 	// Aggregation selects how multiple answers combine (MajorityVote by
 	// default; WeightedVote uses qualification estimates).
 	Aggregation Aggregation
 
 	asked     int
-	cost      float64
-	log       []Assignment
 	estimates map[string]float64 // qualification accuracy estimates by worker id
 }
 
@@ -83,7 +71,7 @@ func NewPlatform(truth *GroundTruth, workers []*Worker, rng *rand.Rand) (*Platfo
 	if truth == nil || len(workers) == 0 {
 		return nil, fmt.Errorf("crowd: platform needs a world and at least one worker")
 	}
-	return &Platform{truth: truth, workers: workers, rng: rng, Votes: 1, UnitCost: 1}, nil
+	return &Platform{truth: truth, workers: workers, rng: rng, Votes: 1}, nil
 }
 
 // NewUniformPlatform is a convenience constructor: n workers of identical
@@ -123,15 +111,11 @@ func (p *Platform) Ask(q tpo.Question) tpo.Answer {
 		return p.askWeighted(q)
 	}
 	votes := p.effectiveVotes()
-	correct := p.truth.Correct(q)
 	yes := 0
 	for v := 0; v < votes; v++ {
 		w := p.workers[p.rng.Intn(len(p.workers))]
-		a := w.Answer(p.truth, q)
 		p.asked++
-		p.cost += p.UnitCost
-		p.log = append(p.log, Assignment{Worker: w.ID, Q: q, A: a, Correct: a.Yes == correct.Yes})
-		if a.Yes {
+		if w.Answer(p.truth, q).Yes {
 			yes++
 		}
 	}
@@ -151,27 +135,6 @@ func (p *Platform) Reliability() float64 {
 
 // WorkerAnswers returns how many individual worker answers were collected.
 func (p *Platform) WorkerAnswers() int { return p.asked }
-
-// Cost returns the total cost incurred.
-func (p *Platform) Cost() float64 { return p.cost }
-
-// Log returns the task-assignment audit trail.
-func (p *Platform) Log() []Assignment { return p.log }
-
-// CorrectFraction returns the empirical fraction of individually correct
-// answers (0 when nothing was asked).
-func (p *Platform) CorrectFraction() float64 {
-	if len(p.log) == 0 {
-		return 0
-	}
-	c := 0
-	for _, a := range p.log {
-		if a.Correct {
-			c++
-		}
-	}
-	return float64(c) / float64(len(p.log))
-}
 
 // MajorityAccuracy returns the probability that the majority of `votes`
 // independent answers, each correct with probability p, is correct. votes is

@@ -98,7 +98,7 @@ type QualificationResult struct {
 // Qualify runs a qualification round: every worker answers all the gold
 // questions (whose true answers the platform knows), and the platform
 // stores Laplace-smoothed accuracy estimates used by WeightedVote. Gold
-// answers are accounted like normal work (cost and log).
+// answers count toward WorkerAnswers like normal work.
 func (p *Platform) Qualify(gold []tpo.Question) ([]QualificationResult, error) {
 	if len(gold) == 0 {
 		return nil, fmt.Errorf("crowd: qualification needs at least one gold question")
@@ -113,10 +113,7 @@ func (p *Platform) Qualify(gold []tpo.Question) ([]QualificationResult, error) {
 			truthAns := p.truth.Correct(q)
 			a := w.Answer(p.truth, q)
 			p.asked++
-			p.cost += p.UnitCost
-			ok := a.Yes == truthAns.Yes
-			p.log = append(p.log, Assignment{Worker: w.ID, Q: q, A: a, Correct: ok})
-			if ok {
+			if a.Yes == truthAns.Yes {
 				correct++
 			}
 		}
@@ -152,14 +149,11 @@ func (p *Platform) EstimatedAccuracy(workerID string) float64 {
 // still resolved consistently ("No") rather than silently.
 func (p *Platform) askWeighted(q tpo.Question) tpo.Answer {
 	votes := p.effectiveVotes()
-	correct := p.truth.Correct(q)
 	score := 0.0
 	for v := 0; v < votes; v++ {
 		w := p.workers[p.rng.Intn(len(p.workers))]
 		a := w.Answer(p.truth, q)
 		p.asked++
-		p.cost += p.UnitCost
-		p.log = append(p.log, Assignment{Worker: w.ID, Q: q, A: a, Correct: a.Yes == correct.Yes})
 		acc := p.EstimatedAccuracy(w.ID)
 		if acc >= 1 {
 			acc = 1 - 1e-9

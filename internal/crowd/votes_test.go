@@ -33,9 +33,6 @@ func TestEvenVotesRoundedUpToOdd(t *testing.T) {
 	if got := pf.WorkerAnswers(); got != 5 {
 		t.Errorf("one Ask with Votes=4 collected %d worker answers, want 5", got)
 	}
-	if got, want := pf.Cost(), 5.0; got != want {
-		t.Errorf("cost = %v, want %v", got, want)
-	}
 }
 
 // TestVotesFloor: non-positive vote counts behave as a single answer in both

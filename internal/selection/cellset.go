@@ -602,5 +602,5 @@ type evalScratch struct {
 // value evaluates the context's measure over (idx, w) with mass m.
 func (e *ResidualEngine) value(s *evalScratch, idx []int32, w []float64, mass float64) float64 {
 	s.view = cellView{a: e.arena, idx: idx, w: w, inv: 1 / mass}
-	return uncertainty.ValueOf(e.ctx.Measure, &s.view, &s.us)
+	return e.ctx.Measure.ValueView(&s.view, &s.us)
 }

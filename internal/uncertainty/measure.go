@@ -26,6 +26,12 @@ type Measure interface {
 	// Value computes the uncertainty of a normalized leaf set. A set with
 	// at most one ordering has uncertainty 0 under every measure.
 	Value(ls *tpo.LeafSet) float64
+	// ValueView computes the measure over a view in place, without a
+	// normalized LeafSet copy, using scratch (which may be nil) for
+	// temporary storage. It returns exactly what Value returns on the
+	// materialized equivalent, up to floating-point association noise far
+	// below selection's tie epsilon.
+	ValueView(v View, s *Scratch) float64
 	// MaxDropPerQuestion returns an upper bound on how much the expected
 	// value of the measure can decrease by asking one binary question, or 0
 	// when no such bound is known. It is the admissible-heuristic slope for

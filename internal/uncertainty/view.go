@@ -111,26 +111,6 @@ func (s *Scratch) distancer(ref rank.Ordering, penalty float64) *rank.TopKDist {
 	return s.dist
 }
 
-// ViewMeasure is a Measure that can evaluate a View in place, without a
-// normalized LeafSet copy. All measures in this package implement it.
-type ViewMeasure interface {
-	Measure
-	// ValueView computes the measure over the view, using scratch (which may
-	// be nil) for temporary storage. It returns exactly what Value returns
-	// on the materialized equivalent, up to floating-point association noise
-	// far below selection's tie epsilon.
-	ValueView(v View, s *Scratch) float64
-}
-
-// ValueOf evaluates m over v, taking the in-place path when m supports it
-// and materializing a LeafSet otherwise (third-party measures).
-func ValueOf(m Measure, v View, s *Scratch) float64 {
-	if vm, ok := m.(ViewMeasure); ok {
-		return vm.ValueView(v, s)
-	}
-	return m.Value(Materialize(v))
-}
-
 // Materialize copies a view into a standalone LeafSet.
 func Materialize(v View) *tpo.LeafSet {
 	n := v.Len()
@@ -146,7 +126,7 @@ func Materialize(v View) *tpo.LeafSet {
 	return ls
 }
 
-// ValueView implements ViewMeasure: the same compensated −Σ w·log2 w as
+// ValueView implements Measure: the same compensated −Σ w·log2 w as
 // numeric.EntropyBits, fed directly from the view's normalized weights.
 func (Entropy) ValueView(v View, _ *Scratch) float64 {
 	var k numeric.KahanSum
@@ -162,7 +142,7 @@ func (Entropy) ValueView(v View, _ *Scratch) float64 {
 	return h
 }
 
-// ValueView implements ViewMeasure. When the view can group prefixes, the
+// ValueView implements Measure. When the view can group prefixes, the
 // per-level marginals are accumulated into a dense scratch vector instead of
 // a string-keyed map; otherwise it falls back to the materialized path.
 func (w WeightedEntropy) ValueView(v View, s *Scratch) float64 {
@@ -194,7 +174,7 @@ func (w WeightedEntropy) ValueView(v View, s *Scratch) float64 {
 	return acc / totalW
 }
 
-// ValueView implements ViewMeasure. The aggregation input is assembled from
+// ValueView implements Measure. The aggregation input is assembled from
 // zero-copy path headers; only the aggregation itself allocates.
 func (o ORA) ValueView(v View, s *Scratch) float64 {
 	if v.Len() <= 1 {
@@ -222,7 +202,7 @@ func (o ORA) ValueView(v View, s *Scratch) float64 {
 	return expectedDistanceView(v, agg.Prefix(v.K()), o.Penalty, s)
 }
 
-// ValueView implements ViewMeasure. Views with stable leaf identities take
+// ValueView implements Measure. Views with stable leaf identities take
 // the cached-distance-row path: the MPO reference is always one of the
 // universe's leaves, and residual sweeps re-reference the same few heavy
 // leaves across most partition cells.

@@ -85,19 +85,14 @@ func TestValueViewMatchesValue(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		ls := randomLeafSet(rng, 3)
 		for _, m := range measures {
-			vm, ok := m.(ViewMeasure)
-			if !ok {
-				t.Fatalf("%s does not implement ViewMeasure", m.Name())
-			}
 			want := m.Value(ls)
 			var s Scratch
 			// Grouped, scratch-backed, and nil-scratch paths must all agree.
 			gv := groupedView{newLSView(ls, true)}
 			for name, got := range map[string]float64{
-				"grouped+scratch": vm.ValueView(gv, &s),
-				"flat+scratch":    vm.ValueView(newLSView(ls, false), &s),
-				"flat+nil":        vm.ValueView(newLSView(ls, false), nil),
-				"ValueOf":         ValueOf(m, gv, &s),
+				"grouped+scratch": m.ValueView(gv, &s),
+				"flat+scratch":    m.ValueView(newLSView(ls, false), &s),
+				"flat+nil":        m.ValueView(newLSView(ls, false), nil),
 			} {
 				if math.Abs(got-want) > 1e-12 {
 					t.Fatalf("trial %d %s %s: ValueView %.17g, Value %.17g", trial, m.Name(), name, got, want)
@@ -106,20 +101,3 @@ func TestValueViewMatchesValue(t *testing.T) {
 		}
 	}
 }
-
-// TestValueOfFallbackMaterializes pins the path for third-party measures
-// that only implement Measure.
-func TestValueOfFallbackMaterializes(t *testing.T) {
-	ls := randomLeafSet(rand.New(rand.NewSource(7)), 3)
-	m := countingMeasure{}
-	got := ValueOf(m, newLSView(ls, false), nil)
-	if got != float64(ls.Len()) {
-		t.Fatalf("fallback ValueOf = %g, want %d", got, ls.Len())
-	}
-}
-
-type countingMeasure struct{}
-
-func (countingMeasure) Name() string                  { return "count" }
-func (countingMeasure) Value(ls *tpo.LeafSet) float64 { return float64(ls.Len()) }
-func (countingMeasure) MaxDropPerQuestion() float64   { return 0 }

@@ -3,11 +3,13 @@ package sdk_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	crowdtopk "crowdtopk"
@@ -110,6 +112,100 @@ func TestLifecycle(t *testing.T) {
 	if err := client.Delete(info.ID); !errors.Is(err, sdk.ErrNotFound) {
 		t.Fatalf("double delete: %v, want ErrNotFound", err)
 	}
+}
+
+// TestConcurrentLifecycles backs the Client's "safe for concurrent use"
+// guarantee: goroutines sharing one Client each drive a whole session, from
+// create to delete, against a simulated crowd, in memory and with durable
+// storage.
+func TestConcurrentLifecycles(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		name := "memory"
+		opts := sdk.Options{}
+		if durable {
+			name = "storage"
+			opts.Storage = &sdk.Storage{Dir: t.TempDir()}
+		}
+		t.Run(name, func(t *testing.T) {
+			client, err := sdk.New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds := testDataset(t)
+			const sessions = 8
+			var wg sync.WaitGroup
+			for g := 0; g < sessions; g++ {
+				wg.Add(1)
+				go func(seed int64) {
+					defer wg.Done()
+					if err := driveSession(client, ds, seed); err != nil {
+						t.Errorf("session seed %d: %v", seed, err)
+					}
+				}(int64(g + 1))
+			}
+			wg.Wait()
+			if n := client.SessionCount(); n != 0 {
+				t.Errorf("%d sessions left after every lifecycle deleted its own", n)
+			}
+			client.Close()
+		})
+	}
+}
+
+// driveSession runs one session's lifecycle on client: create, answer every
+// question from a simulated crowd until the session is terminal, read the
+// result, checkpoint, delete.
+func driveSession(client *sdk.Client, ds *crowdtopk.Dataset, seed int64) error {
+	crowd, _, err := crowdtopk.SimulatedCrowd(ds, 0.9, 1, seed)
+	if err != nil {
+		return err
+	}
+	const budget = 8
+	info, err := client.CreateSession(sdk.SessionConfig{
+		Dataset:     ds,
+		Query:       crowdtopk.Query{K: 2, Budget: budget, Seed: seed},
+		Reliability: crowd.Reliability(),
+	})
+	if err != nil {
+		return fmt.Errorf("create: %w", err)
+	}
+	for round := 0; ; round++ {
+		qs, err := client.Questions(info.ID, 0)
+		if err != nil {
+			return fmt.Errorf("questions: %w", err)
+		}
+		if len(qs.Questions) == 0 {
+			break
+		}
+		if round == budget {
+			return fmt.Errorf("still asking after %d rounds with budget %d", round, budget)
+		}
+		answers := make([]crowdtopk.Answer, len(qs.Questions))
+		for i, q := range qs.Questions {
+			answers[i] = crowd.Ask(crowdtopk.Question{I: q.I, J: q.J})
+		}
+		if _, err := client.SubmitAnswers(info.ID, answers...); err != nil {
+			return fmt.Errorf("answers: %w", err)
+		}
+	}
+	res, err := client.Result(info.ID)
+	if err != nil {
+		return fmt.Errorf("result: %w", err)
+	}
+	if !res.State.Terminal() || res.Asked == 0 || len(res.Ranking) != 2 {
+		return fmt.Errorf("result state %q after %d answers, ranking %v; want a terminal top-2 that asked the crowd", res.State, res.Asked, res.Ranking)
+	}
+	var cp bytes.Buffer
+	if err := client.Checkpoint(info.ID, &cp); err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	if cp.Len() == 0 {
+		return fmt.Errorf("empty checkpoint")
+	}
+	if err := client.Delete(info.ID); err != nil {
+		return fmt.Errorf("delete: %w", err)
+	}
+	return nil
 }
 
 // TestTypedErrors pins the public failure taxonomy: ErrNotFound, ErrFull,
