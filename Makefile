@@ -4,10 +4,10 @@
 # compaction, cold recovery), the create-path family (session.New at the
 # serving workloads' shapes), the answer-path families (a served session's
 # SubmitAnswer per strategy; live-engine reconcile-and-sweep vs. full
-# rebuild per answer) and the tree-build family (TPO build
-# at the serving workloads' shapes, worker scaling, Extend) to
-# BENCH_selection.json via cmd/benchreport so before/after numbers live
-# next to the code.
+# rebuild per answer), the tree-build family (TPO build
+# at the serving workloads' shapes, worker scaling, Extend) and the π-cache
+# fill (Prewarm at those shapes) to BENCH_selection.json via
+# cmd/benchreport so before/after numbers live next to the code.
 
 BENCHTIME ?= 20x
 

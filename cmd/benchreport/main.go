@@ -1,5 +1,5 @@
-// Command benchreport runs the selection, figure, persistence and tree-build
-// benchmarks with -benchmem and writes the parsed results to a
+// Command benchreport runs the selection, figure, persistence, tree-build
+// and π-cache benchmarks with -benchmem and writes the parsed results to a
 // machine-readable JSON file (BENCH_selection.json at the repository root,
 // by convention). With -compare it also diffs the fresh run against a
 // previously recorded file and prints per-benchmark ns/op and allocs/op
@@ -60,10 +60,11 @@ type Report struct {
 // compaction, cold recovery), the create path (session.New at the serving
 // workloads' shapes), the answer path (a served session's SubmitAnswer per
 // strategy, and the live engine's reconcile-and-sweep vs. a full rebuild on
-// min-kill sequences at several leaf-set sizes), and the tree build a
-// session pays on create (full builds at the serving workloads' shapes,
-// worker scaling, level-wise Extend).
-const defaultBench = "BenchmarkSelectionPrimitives|BenchmarkFig1b|BenchmarkPersist|BenchmarkSessionCreate|BenchmarkSessionAnswer|BenchmarkIncremental|BenchmarkTPOBuild|BenchmarkBuildWorkers|BenchmarkExtendWorkers"
+// min-kill sequences at several leaf-set sizes), the tree build a session
+// pays on create (full builds at the serving workloads' shapes, worker
+// scaling, level-wise Extend), and the π-cache fill that precedes it
+// (Prewarm of a freshly parsed dataset at those shapes).
+const defaultBench = "BenchmarkSelectionPrimitives|BenchmarkFig1b|BenchmarkPersist|BenchmarkSessionCreate|BenchmarkSessionAnswer|BenchmarkIncremental|BenchmarkTPOBuild|BenchmarkBuildWorkers|BenchmarkExtendWorkers|BenchmarkPCachePrewarm"
 
 // qualityPrefix and qualityMetrics name the gated rows and metrics.
 const qualityPrefix = "BenchmarkFig1b/"
@@ -73,7 +74,7 @@ var qualityMetrics = []string{"distance", "questions", "leaves"}
 // defaultPkgs are the packages holding those families (comma-separated for
 // the -pkg flag; benchmark names are globally unique, so one report file
 // can hold all of them).
-const defaultPkgs = ".,./internal/persist,./internal/tpo"
+const defaultPkgs = ".,./internal/persist,./internal/tpo,./internal/pcache"
 
 func main() {
 	bench := flag.String("bench", defaultBench, "benchmark regexp passed to go test -bench")

@@ -205,11 +205,14 @@
 // worker count. Pairwise dominance probabilities π_ij are memoized in a
 // process-wide concurrency-safe cache (internal/pcache) keyed by
 // distribution identity, so repeated selection sweeps and repeated trials
-// over the same dataset never re-integrate a pair. Experiment trials run
-// concurrently with per-trial RNGs derived from the seed and aggregate in
-// trial order, making their statistics independent of scheduling. Crowd
-// questions are always asked one at a time, in order — parallelism never
-// changes what the crowd sees.
+// over the same dataset do not re-integrate a pair. The cache holds a
+// working set of two bounded generations, retiring the older one whole when
+// the newer fills; served sessions parse their own distributions, so they
+// never share entries, and its resets counter counts only explicit Reset
+// calls. Experiment trials run concurrently with per-trial RNGs derived
+// from the seed and aggregate in trial order, making their statistics
+// independent of scheduling. Crowd questions are always asked one at a
+// time, in order — parallelism never changes what the crowd sees.
 //
 // # Observability
 //

@@ -142,22 +142,32 @@ func TestFig1aQuickShape(t *testing.T) {
 }
 
 func TestFig1bQuickShape(t *testing.T) {
-	tbl, err := Fig1b(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// incr must be the cheapest algorithm at the largest budget.
-	inc, ok := tbl.Get(AlgIncr, 10)
-	if !ok {
-		t.Fatal("missing incr cell")
-	}
-	for _, alg := range []string{AlgT1On, AlgTBOff, AlgCOff} {
-		v, ok := tbl.Get(alg, 10)
-		if !ok {
-			t.Fatalf("missing %s cell", alg)
+	// incr must be the cheapest algorithm at the largest budget. The cells
+	// are wall-clock costs well under a millisecond, and other processes on
+	// the CPUs only ever add time to them, so the claim is checked on each
+	// cell's minimum over repeated runs.
+	const runs = 7
+	algs := []string{AlgT1On, AlgTBOff, AlgCOff, AlgIncr}
+	best := make(map[string]float64, len(algs))
+	for r := 0; r < runs; r++ {
+		tbl, err := Fig1b(quickOpts())
+		if err != nil {
+			t.Fatal(err)
 		}
-		if v < inc {
-			t.Fatalf("%s (%gs) cheaper than incr (%gs)", alg, v, inc)
+		for _, alg := range algs {
+			v, ok := tbl.Get(alg, 10)
+			if !ok {
+				t.Fatalf("missing %s cell", alg)
+			}
+			if b, seen := best[alg]; !seen || v < b {
+				best[alg] = v
+			}
+		}
+	}
+	inc := best[AlgIncr]
+	for _, alg := range algs[:3] {
+		if v := best[alg]; v < inc {
+			t.Fatalf("%s (%gs) cheaper than incr (%gs), fastest of %d runs each", alg, v, inc, runs)
 		}
 	}
 }

@@ -7,14 +7,26 @@
 // thousands of times, and repeated trials over the same dataset re-ask them
 // across tree rebuilds. Because distributions are immutable after
 // construction, a probability keyed by the identity of the two distribution
-// values can be computed once per process and shared by every tree, strategy
-// and goroutine.
+// values can be computed once and shared by every tree, strategy and
+// goroutine holding those values. Only holders of the same values share an
+// entry: a served session parses its own distributions on every create and
+// restore, so served sessions never hit each other's entries, and the cache
+// serves each session's own sweeps.
+//
+// The cache keeps a working set, not a history. It holds two generations of
+// at most genSize entries each: lookups read the current generation, then
+// the previous one; new pairs go into the current one, and when it is full
+// it becomes the previous one and the older generation is dropped whole. A
+// pair therefore survives the first rotation after it is stored, memory
+// stays flat however much traffic passes, and the entries of finished
+// datasets age out instead of pinning their distributions.
 //
 // The cache stores both directions of a pair on first computation (π_ji is
 // the complement 1−π_ij, the same identity tree-level callers have always
 // used), so a flipped lookup is a hit. All operations are safe for
 // concurrent use; duplicated computation under a race is benign because
-// dist.ProbGreater is deterministic.
+// dist.ProbGreater is deterministic, and a store never overwrites a pair
+// that a racing caller stored first.
 package pcache
 
 import (
@@ -27,23 +39,26 @@ import (
 	"crowdtopk/internal/par"
 )
 
-// maxEntries bounds the number of cached pairs. Note the bound is on entry
-// count, not bytes: a key pins its two distributions, so an entry can keep a
-// histogram's edge/weight slices reachable after the dataset is dropped.
-// When a process churns through more distinct pairs than this (only
-// plausible for a long-lived service re-reading or re-conditioning many
-// datasets), the cache is cleared wholesale rather than evicted piecemeal —
-// correctness never depends on a value being present, and the active
-// dataset re-populates its pairs on the next sweep.
-const maxEntries = 1 << 20
+// genSize bounds one generation, so the cache never holds more than
+// 2·genSize entries. It is sized for a working set, not for reuse across
+// datasets (which served traffic never gets): a generation holds the pairs
+// of about 30 N=24 datasets or the full pair set of one N=128 dataset, the
+// largest Prewarm fills. The bound is on entry count, not bytes: a key pins
+// its two distributions, so an entry can keep a histogram's edge/weight
+// slices reachable until its generation is dropped.
+const genSize = 1 << 14
 
 var (
-	cache   sync.Map // pairKey -> float64
-	entries atomic.Int64
-	hits    atomic.Int64
-	misses  atomic.Int64
-	resets  atomic.Int64
-	resetMu sync.Mutex
+	mu sync.RWMutex
+	// cur takes new pairs; prev is the generation it replaced (nil until
+	// the first rotation after a Reset). Both hold both orientations of
+	// every pair.
+	cur  = map[pairKey]float64{}
+	prev map[pairKey]float64
+
+	hits   atomic.Int64
+	misses atomic.Int64
+	resets atomic.Int64
 
 	// Prewarm telemetry: process-cumulative (like resets, surviving Reset)
 	// so served cold-starts stay diagnosable across workload switches.
@@ -65,95 +80,132 @@ type pairKey struct {
 // complement, matching the symmetry convention used by tree-level callers.
 func ProbGreater(a, b dist.Distribution) float64 {
 	k := pairKey{a, b}
-	if v, ok := cache.Load(k); ok {
+	mu.RLock()
+	v, ok := lookup(k)
+	mu.RUnlock()
+	if ok {
 		hits.Add(1)
-		return v.(float64)
+		return v
 	}
 	misses.Add(1)
 	p := dist.ProbGreater(a, b)
+	mu.Lock()
+	makeRoom(2)
 	store(k, p)
-	if a != b {
-		store(pairKey{b, a}, 1-p)
-	}
+	mu.Unlock()
 	return p
 }
 
-func store(k pairKey, p float64) {
-	if _, loaded := cache.LoadOrStore(k, p); !loaded {
-		if entries.Add(1) > maxEntries {
-			Reset()
-		}
+// lookup reads the current generation, then the previous one. The caller
+// holds mu.
+func lookup(k pairKey) (float64, bool) {
+	if v, ok := cur[k]; ok {
+		return v, true
+	}
+	v, ok := prev[k]
+	return v, ok
+}
+
+// makeRoom retires the current generation if `need` more entries would take
+// it past genSize, so a batch of stores lands in one generation. The new
+// generation is allocated at full size, which spares the rehashing of
+// growing it step by step; only the first one after a Reset grows on
+// demand, so a process that never fills a generation never allocates a
+// full one. The caller holds mu for writing.
+func makeRoom(need int) {
+	if len(cur)+need > genSize {
+		prev, cur = cur, make(map[pairKey]float64, genSize)
 	}
 }
 
-// Reset empties the cache and zeroes the hit/miss/entry statistics. It runs
-// both on demand (tests, long-lived processes switching workloads) and
-// wholesale when the entry bound is exceeded; each call bumps the
-// process-cumulative Resets counter so deployments can observe cache churn
-// against the maxEntries clearing behavior.
+// store records p for k and its complement for the flipped pair, unless a
+// racing caller stored the pair first (both orientations always go in
+// together, so one lookup answers for both). The caller holds mu for writing.
+func store(k pairKey, p float64) {
+	if _, ok := lookup(k); ok {
+		return
+	}
+	cur[k] = p
+	if k.a != k.b {
+		cur[pairKey{k.b, k.a}] = 1 - p
+	}
+}
+
+// Reset empties the cache and zeroes the hit/miss statistics. Tests and
+// long-lived processes switching workloads call it; the cache never calls
+// it itself, so the process-cumulative Resets counter counts exactly these
+// explicit calls.
 func Reset() {
-	resetMu.Lock()
-	defer resetMu.Unlock()
-	cache.Range(func(k, _ any) bool {
-		cache.Delete(k)
-		return true
-	})
-	entries.Store(0)
+	mu.Lock()
+	cur, prev = map[pairKey]float64{}, nil
 	hits.Store(0)
 	misses.Store(0)
 	resets.Add(1)
+	mu.Unlock()
 }
 
 // Prewarm bulk-fills the cache with π for every pair of dists (both
 // orientations, as ProbGreater stores them), fanning the integrations across
 // up to `workers` goroutines (< 1 selects GOMAXPROCS, clamped to the pair
-// count). The serving layer calls it at
-// session creation so the first residual sweep of a cold dataset finds every
-// pair hot. It returns the number of pairs actually computed — already-warm
-// pairs cost one cache hit. Fill time and pair counts accumulate into the
-// Snapshot telemetry.
+// count). The serving layer calls it at session creation so the first
+// residual sweep of a cold dataset finds every pair hot: the fill lands in
+// one generation, so it survives the next rotation. It returns the number of
+// pairs actually computed — already-warm pairs cost one lookup. The hit and
+// miss counters count each pair as one lookup; fill time and pair counts
+// accumulate into the Snapshot telemetry.
 func Prewarm(dists []dist.Distribution, workers int) (computed int) {
 	n := len(dists)
-	if n < 2 {
-		return 0
-	}
-	// A fill that cannot fit would cross maxEntries mid-way and trigger the
-	// wholesale clear — paying the full O(n²) integration cost only to leave
-	// the cache mostly empty. Skip it (and leave the telemetry untouched);
-	// the sweeps populate the pairs they actually use organically.
-	if pairs := n * (n - 1); pairs > maxEntries { // both orientations stored
+	pairs := n * (n - 1) / 2
+	// A fill larger than one generation cannot land in one without breaking
+	// the bound. Skip it (and leave the telemetry untouched); the sweeps
+	// populate the pairs they actually use.
+	if pairs == 0 || 2*pairs > genSize { // both orientations stored
 		return 0
 	}
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	start := time.Now()
-	type pair struct{ a, b dist.Distribution }
-	pairs := make([]pair, 0, n*(n-1)/2)
+	todo := make([]pairKey, 0, pairs)
+	mu.RLock()
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			pairs = append(pairs, pair{dists[i], dists[j]})
+			k := pairKey{dists[i], dists[j]}
+			if _, ok := lookup(k); !ok {
+				todo = append(todo, k)
+			}
 		}
 	}
-	var fresh atomic.Int64
-	par.For(len(pairs), workers, func(_, p int) error {
-		if _, ok := cache.Load(pairKey{pairs[p].a, pairs[p].b}); !ok {
-			fresh.Add(1)
+	mu.RUnlock()
+	if len(todo) > 0 {
+		vals := make([]float64, len(todo))
+		par.For(len(todo), workers, func(_, p int) error {
+			vals[p] = dist.ProbGreater(todo[p].a, todo[p].b)
+			return nil
+		})
+		mu.Lock()
+		makeRoom(2 * len(todo))
+		for p, k := range todo {
+			store(k, vals[p])
 		}
-		ProbGreater(pairs[p].a, pairs[p].b)
-		return nil
-	})
-	prewarmPairs.Add(int64(len(pairs)))
+		mu.Unlock()
+	}
+	// Count the fill as the per-pair lookups it replaces: a miss for each
+	// pair computed, a hit for each found warm.
+	misses.Add(int64(len(todo)))
+	hits.Add(int64(pairs - len(todo)))
+	prewarmPairs.Add(int64(pairs))
 	prewarmNanos.Add(time.Since(start).Nanoseconds())
-	return int(fresh.Load())
+	return len(todo)
 }
 
-// Snapshot is a point-in-time view of the cache counters. Hits, Misses and
-// Entries count since the last Reset; Resets and the Prewarm counters are
-// process-cumulative. HitRate is the cumulative Hits/(Hits+Misses) since the
-// last Reset (0 before any lookup) — a lifetime average that stops moving on
-// a long-lived process no matter what the cache is doing now; WindowStats
-// reports the rate over a recent interval instead.
+// Snapshot is a point-in-time view of the cache counters. Hits and Misses
+// count since the last Reset, Entries is the current size of both
+// generations, and Resets and the Prewarm counters are process-cumulative.
+// HitRate is the cumulative Hits/(Hits+Misses) since the last Reset (0
+// before any lookup) — a lifetime average that stops moving on a long-lived
+// process no matter what the cache is doing now; WindowStats reports the
+// rate over a recent interval instead.
 type Snapshot struct {
 	Hits         int64   `json:"hits"`
 	Misses       int64   `json:"misses"`
@@ -169,10 +221,13 @@ type Snapshot struct {
 // layer's stats endpoint so long-running deployments can watch churn and
 // diagnose cold-start fill cost.
 func Stats() Snapshot {
+	mu.RLock()
+	entries := len(cur) + len(prev)
+	mu.RUnlock()
 	s := Snapshot{
 		Hits:         hits.Load(),
 		Misses:       misses.Load(),
-		Entries:      entries.Load(),
+		Entries:      int64(entries),
 		Resets:       resets.Load(),
 		PrewarmPairs: prewarmPairs.Load(),
 		PrewarmNanos: prewarmNanos.Load(),

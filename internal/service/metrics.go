@@ -105,8 +105,10 @@ func (s *Service) registerCollectors() {
 			return float64(gate.inflightNow())
 		})
 
-	// π-cache: hits/misses reset with pcache.Reset (rare, counted), so the
-	// totals are "since last reset" — the resets counter disambiguates.
+	// π-cache: hits/misses restart only at an explicit pcache.Reset (the
+	// bounded cache retires old entries by generation and never resets
+	// itself), so the totals are "since last reset" — the resets counter
+	// disambiguates.
 	r.CounterFunc("crowdtopk_pcache_hits_total",
 		"Pairwise-probability cache hits since the last cache reset.",
 		func() float64 { return float64(pcache.Stats().Hits) })
@@ -114,7 +116,7 @@ func (s *Service) registerCollectors() {
 		"Pairwise-probability cache misses since the last cache reset.",
 		func() float64 { return float64(pcache.Stats().Misses) })
 	r.CounterFunc("crowdtopk_pcache_resets_total",
-		"Wholesale pairwise-probability cache clears.",
+		"Explicit pairwise-probability cache resets.",
 		func() float64 { return float64(pcache.Stats().Resets) })
 	r.GaugeFunc("crowdtopk_pcache_entries",
 		"Pairwise-probability cache resident entries.",

@@ -529,8 +529,10 @@ func (s *Service) CreateOrRestore(ctx context.Context, req CreateRequest) (Sessi
 	}
 	var sess *session.Session
 	var err error
-	// The build span covers checkpoint decode or tree construction plus the
-	// pcache prewarm inside session.New — the dominant cost of a create.
+	// The build span covers session.New (pcache prewarm, tree build, first
+	// plan) or session.Restore (checkpoint decode, prewarm, tree rebuild).
+	// On catalog-shaped creates the build and the first plan dominate; the
+	// prewarm is under 2 % of the span.
 	bctx, bsp := obs.StartSpan(ctx, "session.build")
 	if len(req.Checkpoint) > 0 {
 		bsp.SetAttr("origin", "restore")

@@ -229,7 +229,8 @@ func (t *Tree) Tuples() []int {
 
 // ProbGreater returns Pr(s_i > s_j) from the score model, memoized in the
 // process-wide pairwise cache (internal/pcache) so concurrent trials and
-// repeated selection sweeps over the same dataset never re-integrate a pair.
+// repeated selection sweeps over the same dataset do not re-integrate a pair
+// while it stays in the cache's bounded working set.
 // It is the π_ij used to split undetermined leaves when computing answer
 // probabilities. The canonical (i < j) orientation is the one computed;
 // flipped queries return the complement, as before the cache existed.
