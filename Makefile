@@ -2,11 +2,12 @@
 # paper's figures; `bench` records the selection + Fig-1(b) families (the
 # residual-sweep hot path), the persist family (WAL append, snapshot
 # compaction, cold recovery), the create-path family (session.New at the
-# serving workloads' shapes), the answer-path families (a served session's
-# SubmitAnswer per strategy; live-engine reconcile-and-sweep vs. full
-# rebuild per answer), the tree-build family (TPO build
-# at the serving workloads' shapes, worker scaling, Extend) and the π-cache
-# fill (Prewarm at those shapes) to BENCH_selection.json via
+# serving workloads' shapes), the hydrate family (session.Restore of a
+# mid-query checkpoint at those shapes), the answer-path families (a
+# served session's SubmitAnswer per strategy; live-engine
+# reconcile-and-sweep vs. full rebuild per answer), the tree-build family
+# (TPO build at the serving workloads' shapes, worker scaling, Extend) and
+# the π-cache fill (Prewarm at those shapes) to BENCH_selection.json via
 # cmd/benchreport so before/after numbers live next to the code.
 
 BENCHTIME ?= 20x

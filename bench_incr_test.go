@@ -1,7 +1,10 @@
-// BenchmarkSessionCreate measures what a create costs the serving path, and
-// BenchmarkSessionAnswer and BenchmarkIncremental what an accepted answer
-// costs it. BenchmarkSessionCreate times session.New on the serving
-// benchmark's workload shapes: π-cache fill, tree build and first sweep.
+// BenchmarkSessionCreate and BenchmarkSessionRestore measure what a create
+// and a hydrate cost the serving path, and BenchmarkSessionAnswer and
+// BenchmarkIncremental what an accepted answer costs it.
+// BenchmarkSessionCreate times session.New on the serving benchmark's
+// workload shapes: π-cache fill, tree build and first sweep.
+// BenchmarkSessionRestore times session.Restore of a mid-query checkpoint at
+// those shapes: decoding, π-cache fill and the tree rebuilt from leaves.
 // BenchmarkSessionAnswer times Session.SubmitAnswer on sessions of those
 // shapes, answered by a simulated crowd: the tree prune, the upkeep of the
 // live selection engine and the replan. BenchmarkIncremental isolates
@@ -11,6 +14,7 @@
 package crowdtopk_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -192,6 +196,70 @@ func BenchmarkSessionCreate(b *testing.B) {
 			b.ReportMetric(orderings/float64(b.N), "orderings")
 		})
 	}
+}
+
+// BenchmarkSessionRestore times session.Restore, the hydrate a served
+// session pays when it comes back from a checkpoint, on the serving
+// benchmark's two dataset shapes under its settings: T1-on, MPO, budget 16,
+// checkpointed mid-query after three answers from a simulated crowd. ns/op
+// is one restore: decoding the envelope and the dataset, the π-cache fill
+// and the tree rebuilt from the checkpoint's leaf set.
+func BenchmarkSessionRestore(b *testing.B) {
+	for _, sh := range servingShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			cps := make([][]byte, b.N)
+			for i := range cps {
+				if sh.shared && i > 0 {
+					cps[i] = cps[0]
+					continue
+				}
+				spec := sh.spec
+				if !sh.shared {
+					spec.Seed = int64(i) + 1
+				}
+				ds, err := dataset.Generate(spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cps[i] = midQueryCheckpoint(b, ds, sh.k, int64(i))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := session.Restore(bytes.NewReader(cps[i]), nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// midQueryCheckpoint creates a session, answers up to three of its
+// questions correctly and returns its checkpoint.
+func midQueryCheckpoint(b *testing.B, ds []dist.Distribution, k int, seed int64) []byte {
+	truth := crowd.SampleTruth(ds, rand.New(rand.NewSource(seed)))
+	s, err := session.New(session.Config{Dists: ds, K: k, Budget: 16,
+		Algorithm: session.AlgT1On, Measure: "MPO", Seed: seed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for answered := 0; answered < 3; answered++ {
+		qs, _, err := s.NextQuestions(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(qs) == 0 {
+			break
+		}
+		if err := s.SubmitAnswer(truth.Correct(qs[0])); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := s.Checkpoint(&buf); err != nil {
+		b.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // BenchmarkSessionAnswer times Session.SubmitAnswer per accepted answer on

@@ -58,13 +58,14 @@ type Report struct {
 // defaultBench covers the residual-sweep primitives, the end-to-end figure
 // benchmark they dominate, the durability family (WAL append, snapshot
 // compaction, cold recovery), the create path (session.New at the serving
-// workloads' shapes), the answer path (a served session's SubmitAnswer per
-// strategy, and the live engine's reconcile-and-sweep vs. a full rebuild on
-// min-kill sequences at several leaf-set sizes), the tree build a session
-// pays on create (full builds at the serving workloads' shapes, worker
-// scaling, level-wise Extend), and the π-cache fill that precedes it
-// (Prewarm of a freshly parsed dataset at those shapes).
-const defaultBench = "BenchmarkSelectionPrimitives|BenchmarkFig1b|BenchmarkPersist|BenchmarkSessionCreate|BenchmarkSessionAnswer|BenchmarkIncremental|BenchmarkTPOBuild|BenchmarkBuildWorkers|BenchmarkExtendWorkers|BenchmarkPCachePrewarm"
+// workloads' shapes), the hydrate path (session.Restore of a mid-query
+// checkpoint at those shapes), the answer path (a served session's
+// SubmitAnswer per strategy, and the live engine's reconcile-and-sweep vs. a
+// full rebuild on min-kill sequences at several leaf-set sizes), the tree
+// build a session pays on create (full builds at the serving workloads'
+// shapes, worker scaling, level-wise Extend), and the π-cache fill that
+// precedes it (Prewarm of a freshly parsed dataset at those shapes).
+const defaultBench = "BenchmarkSelectionPrimitives|BenchmarkFig1b|BenchmarkPersist|BenchmarkSessionCreate|BenchmarkSessionRestore|BenchmarkSessionAnswer|BenchmarkIncremental|BenchmarkTPOBuild|BenchmarkBuildWorkers|BenchmarkExtendWorkers|BenchmarkPCachePrewarm"
 
 // qualityPrefix and qualityMetrics name the gated rows and metrics.
 const qualityPrefix = "BenchmarkFig1b/"

@@ -165,16 +165,27 @@
 // tpo.Build evaluates every prefix probability as a trapezoid integral of
 // f_t(x)·C(x)·Π_u F_u(x) over the shared grid, where C is the prefix's
 // survival chain and u runs over the other remaining tuples. Every loop of
-// the kernel is windowed: a candidate's integrand is exactly zero below its
-// first nonzero PDF sample and below the largest first nonzero CDF sample
-// among the other remaining tuples, and above its last nonzero PDF sample
-// and the top of C. The bounds are read off the sampled arrays, and adding
-// an exact zero to a compensated sum or to a running trapezoid total
-// changes no bit, so the tree equals the full-grid evaluation node for node
-// and bit for bit (internal/tpo keeps that evaluation as a test oracle).
-// Builders take their scratch rows from a pool per grid length, and Build
-// its grid samples from a pool too, so a server building a tree per
-// session does not turn them into garbage-collector work.
+// the kernel does only work whose result is not already known exactly:
+//   - A candidate's integrand is exactly zero below its first nonzero PDF
+//     sample and below the largest first nonzero CDF sample among the
+//     other remaining tuples, and above its last nonzero PDF sample and the
+//     top of C, so it is evaluated only in between.
+//   - The exclude-one CDF products leave out every tuple whose sampled CDF
+//     is exactly 1 from the window's first point to the end of the grid,
+//     since x·1 == x.
+//   - A chain is stored only where it varies: below its window it is a
+//     constant and above it zero, and its readers supply those values
+//     themselves instead of reading filled-in arrays.
+//
+// All bounds are read off the sampled arrays, and adding an exact zero to a
+// compensated sum or to a running trapezoid total changes no bit, so the
+// tree equals the full-grid evaluation node for node and bit for bit
+// (internal/tpo keeps that evaluation as a test oracle). Builders take
+// their scratch rows from a pool per grid length, and Build its grid
+// samples from a pool too, so a server building a tree per session does not
+// turn them into garbage-collector work. A tree restored at full depth
+// (tpo.FromLeafSet, which every session restore calls) samples nothing,
+// since only Extend reads the samples.
 //
 // # Selection engine
 //

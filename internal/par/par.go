@@ -44,6 +44,9 @@ func For(n, workers int, fn func(worker, i int) error) []error {
 				}
 				if errs[i] = fn(w, i); errs[i] != nil {
 					failed.Store(true)
+					if failureRecorded != nil {
+						failureRecorded()
+					}
 				}
 			}
 		}(w)
@@ -55,6 +58,11 @@ func For(n, workers int, fn func(worker, i int) error) []error {
 	wg.Wait()
 	return errs
 }
+
+// failureRecorded, when non-nil, runs in a parallel For worker right after
+// it has recorded a failure, so a test can hold the other workers until
+// then. Only this package's tests set it.
+var failureRecorded func()
 
 // FirstError returns the lowest-index non-nil error, or nil. Reporting the
 // lowest index (rather than whichever goroutine failed first on the clock)

@@ -49,20 +49,27 @@ func TestForFailFast(t *testing.T) {
 	if got := ran.Load(); got != 4 {
 		t.Fatalf("sequential run executed %d indices after failure at 3", got)
 	}
-	// Parallel: unstarted indices are skipped; total executed is far below n.
+	// Parallel: once the failure is recorded, unstarted indices are
+	// skipped. Every other index waits until then, so each of the other
+	// workers runs at most the one index it holds, whatever the schedule.
+	const workers = 4
+	recorded := make(chan struct{})
+	failureRecorded = func() { close(recorded) }
+	defer func() { failureRecorded = nil }()
 	ran.Store(0)
-	errs = For(1000, 4, func(_, i int) error {
+	errs = For(1000, workers, func(_, i int) error {
 		ran.Add(1)
 		if i == 0 {
 			return boom
 		}
+		<-recorded
 		return nil
 	})
 	if !errors.Is(FirstError(errs), boom) {
 		t.Fatalf("parallel FirstError = %v", FirstError(errs))
 	}
-	if got := ran.Load(); got == 1000 {
-		t.Fatal("parallel run did not skip any work after failure")
+	if got := ran.Load(); got > workers {
+		t.Fatalf("parallel run executed %d indices, want at most %d after failure at 0", got, workers)
 	}
 }
 

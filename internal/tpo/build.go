@@ -83,11 +83,9 @@ func Build(ds []dist.Distribution, k int, opt BuildOptions) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer func() { t.pdfs, t.cdfs = nil, nil }()
+	defer func() { t.pdfs, t.cdfs, t.wins = nil, nil, nil }()
 	t.opt = opt.withDefaults()
-	c0 := make([]float64, t.grid.Len())
-	fill(c0, 1)
-	root := buildJob{node: t.Root, c: c0, top: len(c0) - 1, remaining: allRemaining(len(ds))}
+	root := buildJob{node: t.Root, c: unitChain(t.grid.Len()), remaining: allRemaining(len(ds))}
 	if err := expandAll(t, t.opt, []buildJob{root}, k); err != nil {
 		return nil, err
 	}
@@ -106,10 +104,9 @@ func (t *Tree) BuildMass() float64 { return t.buildMass }
 // samplePool recycles Build's grid samples, one buffer per build.
 var samplePool sync.Pool // *[]float64
 
-// prepare validates inputs and precomputes the shared grid samples and
-// their nonzero windows. The samples are laid out in *samples when it is
-// non-nil (grown as needed), and in a fresh allocation otherwise.
-func prepare(ds []dist.Distribution, k int, opt BuildOptions, samples *[]float64) (*Tree, error) {
+// newTree validates inputs and returns an empty tree on the shared grid,
+// without grid samples: enough for a tree that is never expanded.
+func newTree(ds []dist.Distribution, k int, opt BuildOptions) (*Tree, error) {
 	if len(ds) == 0 {
 		return nil, fmt.Errorf("%w: empty dataset", ErrInvalidInput)
 	}
@@ -127,16 +124,21 @@ func prepare(ds []dist.Distribution, k int, opt BuildOptions, samples *[]float64
 			return nil, fmt.Errorf("%w: tuple %d support [%g, %g] narrower than two grid steps; use a finer grid or a wider distribution", ErrInvalidInput, i, lo, hi)
 		}
 	}
-	t := &Tree{
-		Root:  &Node{Tuple: -1, Prob: 1},
-		K:     k,
-		Dists: ds,
-		grid:  grid,
-		pdfs:  make([][]float64, len(ds)),
-		cdfs:  make([][]float64, len(ds)),
-		wins:  make([]sampleWindow, len(ds)),
+	return &Tree{Root: &Node{Tuple: -1, Prob: 1}, K: k, Dists: ds, grid: grid}, nil
+}
+
+// prepare is newTree plus the shared grid samples and their windows. The
+// samples are laid out in *samples when it is non-nil (grown as needed), and
+// in a fresh allocation otherwise.
+func prepare(ds []dist.Distribution, k int, opt BuildOptions, samples *[]float64) (*Tree, error) {
+	t, err := newTree(ds, k, opt)
+	if err != nil {
+		return nil, err
 	}
-	gl := grid.Len()
+	t.pdfs = make([][]float64, len(ds))
+	t.cdfs = make([][]float64, len(ds))
+	t.wins = make([]sampleWindow, len(ds))
+	gl := t.grid.Len()
 	var buf []float64
 	if samples != nil && cap(*samples) >= 2*len(ds)*gl {
 		buf = (*samples)[:2*len(ds)*gl]
@@ -148,7 +150,7 @@ func prepare(ds []dist.Distribution, k int, opt BuildOptions, samples *[]float64
 	}
 	for i, d := range ds {
 		pdf, cdf := buf[2*i*gl:(2*i+1)*gl:(2*i+1)*gl], buf[(2*i+1)*gl:(2*i+2)*gl:(2*i+2)*gl]
-		for j, x := range grid.Points() {
+		for j, x := range t.grid.Points() {
 			pdf[j], cdf[j] = d.PDF(x), d.CDF(x)
 		}
 		t.pdfs[i], t.cdfs[i], t.wins[i] = pdf, cdf, windowOf(pdf, cdf)
@@ -156,14 +158,16 @@ func prepare(ds []dist.Distribution, k int, opt BuildOptions, samples *[]float64
 	return t, nil
 }
 
-// sampleWindow bounds where a tuple's grid samples can be nonzero:
-// pdf[i] == 0 outside [pdfLo, pdfHi] and cdf[i] == 0 below cdfLo. The bounds
-// come from the sampled arrays, not from Support, so they are exact for the
-// values the kernel multiplies. A PDF with no nonzero sample has pdfLo > pdfHi.
-type sampleWindow struct{ pdfLo, pdfHi, cdfLo int }
+// sampleWindow bounds where a tuple's grid samples can differ from their
+// tails: pdf[i] == 0 outside [pdfLo, pdfHi], cdf[i] == 0 below cdfLo and
+// cdf[i] == 1 from cdfOne to the end of the grid. The bounds come from the
+// sampled arrays, not from Support, so they are exact for the values the
+// kernel multiplies. A PDF with no nonzero sample has pdfLo > pdfHi, and a
+// CDF whose last sample is below 1 has cdfOne == len(cdf).
+type sampleWindow struct{ pdfLo, pdfHi, cdfLo, cdfOne int }
 
 func windowOf(pdf, cdf []float64) sampleWindow {
-	w := sampleWindow{pdfLo: len(pdf), pdfHi: -1, cdfLo: len(cdf)}
+	w := sampleWindow{pdfLo: len(pdf), pdfHi: -1, cdfLo: len(cdf), cdfOne: len(cdf)}
 	for i := range pdf {
 		if pdf[i] != 0 {
 			w.pdfLo = i
@@ -182,8 +186,15 @@ func windowOf(pdf, cdf []float64) sampleWindow {
 			break
 		}
 	}
+	for i := len(cdf) - 1; i >= 0 && cdf[i] == 1; i-- {
+		w.cdfOne = i
+	}
 	return w
 }
+
+// saturated reports whether tuple id's sampled CDF is exactly 1 from grid
+// index i to the end of the grid.
+func (t *Tree) saturated(id, i int) bool { return t.wins[id].cdfOne <= i }
 
 func allRemaining(n int) []int {
 	r := make([]int, n)
@@ -199,10 +210,22 @@ func allRemaining(n int) []int {
 // any number of them can expand concurrently.
 type buildJob struct {
 	node      *Node
-	c         []float64
-	top       int // c[i] == 0 for every i > top
+	c         chain
 	remaining []int
 }
+
+// chain is a survival chain C_d sampled on the grid. Only [lo, top] is
+// stored: below lo the chain is the constant base, and above top it is
+// zero. Storing the constant tails would cost a write per grid point for
+// values every reader can supply itself.
+type chain struct {
+	vals    []float64 // vals[i] for lo <= i <= top
+	lo, top int
+	base    float64
+}
+
+// unitChain is C_0 ≡ 1 on a grid of n points.
+func unitChain(n int) chain { return chain{lo: n, top: n - 1, base: 1} }
 
 // frontierFactor·workers is the number of independent subtree jobs targeted
 // before handing the frontier to the pool. Oversplitting keeps the pool busy
@@ -230,7 +253,7 @@ func expandAll(t *Tree, opt BuildOptions, jobs []buildJob, k int) error {
 		for len(jobs) > 0 && len(jobs) < frontierFactor*workers {
 			var next []buildJob
 			for _, j := range jobs {
-				if err := fb.expand(j.node, j.c, j.top, j.remaining, k, &next); err != nil {
+				if err := fb.expand(j.node, j.c, j.remaining, k, &next); err != nil {
 					return err
 				}
 			}
@@ -244,7 +267,7 @@ func expandAll(t *Tree, opt BuildOptions, jobs []buildJob, k int) error {
 			builders[w] = newBuilder(t, opt, leaves)
 		}
 		j := jobs[i]
-		return builders[w].expand(j.node, j.c, j.top, j.remaining, k, nil)
+		return builders[w].expand(j.node, j.c, j.remaining, k, nil)
 	}))
 }
 
@@ -268,8 +291,8 @@ type scratch struct {
 }
 
 type depthScratch struct {
-	prefixProd [][]float64 // prefixProd[i] = Π_{j<i} F_{remaining[j]}
-	suffixProd [][]float64 // suffixProd[i] = Π_{j>=i} F_{remaining[j]}
+	prefixProd [][]float64 // prefixProd[a] = Π of the first a unsaturated F_u
+	suffixProd [][]float64 // suffixProd[a] = Π of the unsaturated F_u after those
 	integrand  []float64
 	childC     []float64
 	rest       []int // the recursing child's remaining tuples
@@ -339,21 +362,24 @@ func (b *builder) scratchAt(depth, nRemaining int) *depthScratch {
 	return s
 }
 
-// expand materializes the children of n from its survival chain c (zero
-// above index top) and the remaining candidate tuples, appending them to
-// n.Children in candidate order (which keeps the tree layout independent of
-// goroutine scheduling), and continues down to depth k. Depth-k children
-// are leaves and counted against the shared budget.
+// expand materializes the children of n from its survival chain c and the
+// remaining candidate tuples, appending them to n.Children in candidate
+// order (which keeps the tree layout independent of goroutine scheduling),
+// and continues down to depth k. Depth-k children are leaves and counted
+// against the shared budget.
 //
-// Every grid loop is windowed. A candidate's integrand f_id·C·Π_{u≠id} F_u
-// is an exact zero below its first nonzero PDF sample and below the largest
-// first nonzero CDF sample among the other remaining tuples, and above its
-// last nonzero PDF sample and the chain's top. The exclude-one products are
-// read only inside the union of those windows, and the child chain
-// ∫_x^Hi f_id·C is zero above the child's window and constant below it.
-// Every skipped term is an exact zero, and adding an exact zero to the
-// Neumaier sum or to the running trapezoid total changes no bit, so the
-// tree equals the full-grid evaluation node for node and bit for bit.
+// Every grid loop does only work whose result is not already known. A
+// candidate's integrand f_id·C·Π_{u≠id} F_u is an exact zero below its first
+// nonzero PDF sample and below the largest first nonzero CDF sample among
+// the other remaining tuples, and above its last nonzero PDF sample and the
+// chain's top. The exclude-one products are read only inside the union of
+// those windows, and they leave out every tuple whose CDF is exactly 1 all
+// over it: x·1 == x, so the products keep their bits. The child chain
+// ∫_x^Hi f_id·C is zero above the child's window and constant below it, and
+// only the part in between is written. Every skipped term is an exact zero,
+// and adding an exact zero to the Neumaier sum or to the running trapezoid
+// total changes no bit, so the tree equals the full-grid evaluation node for
+// node and bit for bit.
 //
 // When frontier is nil, expand recurses: the child survival chain lives in
 // this depth's scratch (the recursive call only writes scratch at deeper
@@ -364,7 +390,7 @@ func (b *builder) scratchAt(depth, nRemaining int) *depthScratch {
 // mode is deliberately folded into the same function (rather than an
 // indirect descend callback) so the inner loops below stay directly
 // optimizable: they are the hottest code in the package.
-func (b *builder) expand(n *Node, c []float64, top int, remaining []int, k int, frontier *[]buildJob) error {
+func (b *builder) expand(n *Node, c chain, remaining []int, k int, frontier *[]buildJob) error {
 	t := b.t
 	gl := t.grid.Len()
 	s := b.scratchAt(n.depth, len(remaining))
@@ -376,11 +402,12 @@ func (b *builder) expand(n *Node, c []float64, top int, remaining []int, k int, 
 			lo = cdfLo2
 		}
 		w := t.wins[id]
-		return max(lo, w.pdfLo), min(w.pdfHi, top)
+		return max(lo, w.pdfLo), min(w.pdfHi, c.top)
 	}
 
-	// Exclude-one CDF products over the remaining tuples, inside the union
-	// [ulo, uhi] of the candidate windows.
+	// Exclude-one CDF products inside the union [ulo, uhi] of the candidate
+	// windows, over the remaining tuples that are not ≡ 1 there:
+	// prefixProd[a] multiplies the first a of them, suffixProd[a] the rest.
 	ulo, uhi := gl, -1
 	for _, id := range remaining {
 		if lo, hi := window(id); lo <= hi {
@@ -389,17 +416,27 @@ func (b *builder) expand(n *Node, c []float64, top int, remaining []int, k int, 
 	}
 	if ulo <= uhi {
 		fill(s.prefixProd[0][ulo:uhi+1], 1)
-		fill(s.suffixProd[len(remaining)][ulo:uhi+1], 1)
-		for ri, id := range remaining {
+		a := 0
+		for _, id := range remaining {
+			if t.saturated(id, ulo) {
+				continue
+			}
 			cdf := t.cdfs[id][ulo : uhi+1]
-			pp, prev := s.prefixProd[ri+1][ulo:uhi+1], s.prefixProd[ri][ulo:uhi+1]
+			pp, prev := s.prefixProd[a+1][ulo:uhi+1], s.prefixProd[a][ulo:uhi+1]
 			for i := range pp {
 				pp[i] = prev[i] * cdf[i]
 			}
+			a++
 		}
+		fill(s.suffixProd[a][ulo:uhi+1], 1)
 		for ri := len(remaining) - 1; ri >= 0; ri-- {
-			cdf := t.cdfs[remaining[ri]][ulo : uhi+1]
-			sp, next := s.suffixProd[ri][ulo:uhi+1], s.suffixProd[ri+1][ulo:uhi+1]
+			id := remaining[ri]
+			if t.saturated(id, ulo) {
+				continue
+			}
+			a--
+			cdf := t.cdfs[id][ulo : uhi+1]
+			sp, next := s.suffixProd[a][ulo:uhi+1], s.suffixProd[a+1][ulo:uhi+1]
 			for i := range sp {
 				sp[i] = next[i] * cdf[i]
 			}
@@ -412,7 +449,13 @@ func (b *builder) expand(n *Node, c []float64, top int, remaining []int, k int, 
 		lo, _ := t.Dists[id].Support()
 		return lo
 	})
+	unsat := 0 // remaining tuples before ri that the products multiply
 	for ri, id := range remaining {
+		pre, post := unsat, unsat
+		if !t.saturated(id, ulo) {
+			post++
+			unsat++
+		}
 		_, hiS := t.Dists[id].Support()
 		bound := maxLo1
 		if id == loOwner {
@@ -424,11 +467,7 @@ func (b *builder) expand(n *Node, c []float64, top int, remaining []int, k int, 
 		pdf := t.pdfs[id]
 		p := 0.0 // the integral of an all-zero integrand
 		if lo, hi := window(id); lo <= hi {
-			in := s.integrand[lo : hi+1]
-			f, cw, pp, sp := pdf[lo:hi+1], c[lo:hi+1], s.prefixProd[ri][lo:hi+1], s.suffixProd[ri+1][lo:hi+1]
-			for i := range in {
-				in[i] = f[i] * cw[i] * pp[i] * sp[i]
-			}
+			integrandInto(s.integrand, pdf, c, s.prefixProd[pre], s.suffixProd[post], lo, hi)
 			p = trapezoidWindow(t.grid, s.integrand, lo, hi)
 		}
 		if p <= b.opt.ProbEpsilon {
@@ -446,18 +485,36 @@ func (b *builder) expand(n *Node, c []float64, top int, remaining []int, k int, 
 		if frontier != nil {
 			childC = b.jobChain()
 		}
-		childTop := chainInto(t.grid, childC, pdf, c, t.wins[id].pdfLo, min(t.wins[id].pdfHi, top))
+		cc := chainInto(t.grid, childC, pdf, c, t.wins[id].pdfLo, min(t.wins[id].pdfHi, c.top))
 		if frontier != nil {
 			rest := excluding(make([]int, 0, len(remaining)-1), remaining, ri)
-			*frontier = append(*frontier, buildJob{child, childC, childTop, rest})
+			*frontier = append(*frontier, buildJob{child, cc, rest})
 			continue
 		}
 		s.rest = excluding(s.rest, remaining, ri)
-		if err := b.expand(child, childC, childTop, s.rest, k, nil); err != nil {
+		if err := b.expand(child, cc, s.rest, k, nil); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// integrandInto writes f·C·pp·sp into dst over [lo, hi] (hi <= c.top),
+// reading C's constant base below its stored part.
+func integrandInto(dst, f []float64, c chain, pp, sp []float64, lo, hi int) {
+	mid := min(max(lo, c.lo), hi+1)
+	in, fw, pw, sw := dst[lo:mid], f[lo:mid], pp[lo:mid], sp[lo:mid]
+	for i := range in {
+		in[i] = fw[i] * c.base * pw[i] * sw[i]
+	}
+	if mid > hi {
+		return
+	}
+	in, fw, pw, sw = dst[mid:hi+1], f[mid:hi+1], pp[mid:hi+1], sp[mid:hi+1]
+	cw := c.vals[mid : hi+1]
+	for i := range in {
+		in[i] = fw[i] * cw[i] * pw[i] * sw[i]
+	}
 }
 
 // trapezoidWindow is g.Trapezoid(ys) for samples that are exact zeros
@@ -481,34 +538,41 @@ func trapezoidWindow(g *numeric.Grid, ys []float64, lo, hi int) float64 {
 }
 
 // chainInto writes into dst the survival chain g.CumTrapezoidRight(pdf·c)
-// for a product that is an exact zero outside [lo, hi], and returns the
-// chain's top: dst[i] == 0 for i > top. It evaluates the product and the
-// running total only from hi down to lo-1; above that the full rule's total
-// is still +0, and below it every term is (0+0)/2·step, so the total holds.
-// dst may alias c.
-func chainInto(g *numeric.Grid, dst, pdf, c []float64, lo, hi int) (top int) {
+// for a product that is an exact zero outside [lo, hi] (hi <= c.top), and
+// returns it. It evaluates the product and the running total only from hi
+// down to lo-1: above that the full rule's total is still +0, which the
+// returned chain's top records, and below it every term is (0+0)/2·step, so
+// the total holds, which its base records. dst may alias c.vals.
+func chainInto(g *numeric.Grid, dst, pdf []float64, c chain, lo, hi int) chain {
 	if lo > hi {
-		clear(dst)
-		return -1
+		return chain{vals: dst, top: -1}
 	}
 	n := len(dst)
 	i, next := hi, 0.0 // next is the product at i+1
 	if hi == n-1 {
-		next = pdf[hi] * c[hi]
+		ci := c.base
+		if hi >= c.lo {
+			ci = c.vals[hi]
+		}
+		next = pdf[hi] * ci
 		dst[hi] = 0
 		i--
 	}
-	clear(dst[hi+1:])
 	acc := 0.0
 	stop := max(lo-1, 0)
-	for ; i >= stop; i-- {
-		cur := pdf[i] * c[i]
+	for mid := max(stop, c.lo); i >= mid; i-- {
+		cur := pdf[i] * c.vals[i]
 		acc += (cur + next) / 2 * g.Step
 		next = cur
 		dst[i] = acc
 	}
-	fill(dst[:stop], acc)
-	return hi
+	for ; i >= stop; i-- { // below the stored part, c is its base
+		cur := pdf[i] * c.base
+		acc += (cur + next) / 2 * g.Step
+		next = cur
+		dst[i] = acc
+	}
+	return chain{vals: dst, lo: stop, top: hi, base: acc}
 }
 
 func fill(xs []float64, v float64) {

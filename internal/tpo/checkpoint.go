@@ -88,7 +88,9 @@ func ReadCheckpoint(r io.Reader, wantDatasetDigest string) (*LeafSet, error) {
 // the snapshot's (normalized) weights as leaf posteriors, over a freshly
 // prepared evaluation grid. It is the restore half of session checkpointing
 // — the returned tree prunes, reweights and (for partially built incr trees,
-// ls.K < k) extends exactly as the original would.
+// ls.K < k) extends exactly as the original would. Only Extend reads the
+// grid samples, so a snapshot at depth k gets none: its inputs are validated
+// as Build validates them, but nothing is sampled.
 //
 // Paths are inserted in snapshot order and children appended in first-
 // appearance order, which reproduces the original tree's leaf enumeration
@@ -105,7 +107,13 @@ func FromLeafSet(ds []dist.Distribution, k int, ls *LeafSet, opt BuildOptions) (
 	if ls.K < 1 || ls.K > k {
 		return nil, fmt.Errorf("%w: leaf set depth %d outside [1, K=%d]", ErrInvalidInput, ls.K, k)
 	}
-	t, err := prepare(ds, k, opt, nil)
+	var t *Tree
+	var err error
+	if ls.K == k {
+		t, err = newTree(ds, k, opt)
+	} else {
+		t, err = prepare(ds, k, opt, nil)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"crowdtopk/internal/dist"
+	"crowdtopk/internal/rank"
 )
 
 // ulpClose compares leaf weights across a checkpoint boundary: snapshot
@@ -216,5 +217,84 @@ func TestFromLeafSetRejectsBadInput(t *testing.T) {
 	bad.Paths[0][0] = 99
 	if _, err := FromLeafSet(ds, 2, bad, BuildOptions{}); !errors.Is(err, ErrInvalidInput) {
 		t.Fatalf("out-of-range tuple id: %v", err)
+	}
+}
+
+// TestFromLeafSetFullDepthSkipsSamples: a snapshot at depth K restores
+// without grid samples, since only Extend reads them, yet with every input
+// check Build makes; a partial snapshot keeps its samples and extends to the
+// tree the original grows.
+func TestFromLeafSetFullDepthSkipsSamples(t *testing.T) {
+	ds := checkpointDists(t, 6)
+	opt := BuildOptions{GridSize: 256}
+	full, err := Build(ds, 3, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := FromLeafSet(ds, 3, full.LeafSet(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.pdfs != nil || restored.cdfs != nil || restored.wins != nil {
+		t.Fatal("full-depth restore holds grid samples")
+	}
+	if restored.Grid().Len() != 256 {
+		t.Fatalf("restored grid has %d points, want 256", restored.Grid().Len())
+	}
+	if err := restored.Extend(); !errors.Is(err, ErrInvalidInput) {
+		t.Fatalf("Extend at full depth: %v", err)
+	}
+
+	// The same validation errors as the sampling path: a support narrower
+	// than two grid steps, and K beyond the dataset.
+	narrow, err := dist.NewUniform(2, 2.001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []struct {
+		name string
+		ds   []dist.Distribution
+		ls   *LeafSet
+	}{
+		{"narrow support", append(checkpointDists(t, 3), narrow), &LeafSet{K: 2, Paths: []rank.Ordering{{0, 1}}, W: []float64{1}}},
+		{"K beyond tuples", checkpointDists(t, 2), &LeafSet{K: 3, Paths: []rank.Ordering{{0, 1, 2}}, W: []float64{1}}},
+	}
+	for _, c := range bad {
+		_, want := prepare(c.ds, c.ls.K, opt, nil)
+		_, got := FromLeafSet(c.ds, c.ls.K, c.ls, opt)
+		if want == nil || got == nil || got.Error() != want.Error() || !errors.Is(got, ErrInvalidInput) {
+			t.Errorf("%s: FromLeafSet error %v, sampling path %v", c.name, got, want)
+		}
+	}
+
+	// A partial snapshot extends to the original's next level. The original
+	// first adopts the restored posteriors (the snapshot's normalized
+	// weights), so the two trees differ at most in their grid samples.
+	orig, err := StartIncremental(ds, 3, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := orig.Extend(); err != nil { // depth 2 of 3
+		t.Fatal(err)
+	}
+	partial, err := FromLeafSet(ds, 3, orig.LeafSet(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if partial.pdfs == nil {
+		t.Fatal("partial restore holds no grid samples")
+	}
+	var posteriors []float64
+	partial.walkLeaves(func(n *Node, _ rank.Ordering) { posteriors = append(posteriors, n.Prob) })
+	i := 0
+	orig.walkLeaves(func(n *Node, _ rank.Ordering) { n.Prob = posteriors[i]; i++ })
+	if err := orig.Extend(); err != nil {
+		t.Fatal(err)
+	}
+	if err := partial.Extend(); err != nil {
+		t.Fatal(err)
+	}
+	if treeFingerprint(partial) != treeFingerprint(orig) {
+		t.Error("restored partial tree extends differently from the original")
 	}
 }

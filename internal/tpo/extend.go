@@ -95,12 +95,11 @@ func (b *builder) childrenOf(path rank.Ordering, parentPosterior float64) ([]*No
 	if len(b.chain) != gl {
 		b.chain = make([]float64, gl)
 	}
-	c, top := b.chain, gl-1
-	fill(c, 1)
+	c := unitChain(gl)
 	inPath := make([]bool, len(t.Dists))
 	for _, id := range path {
 		w := t.wins[id]
-		top = chainInto(t.grid, c, t.pdfs[id], c, w.pdfLo, min(w.pdfHi, top))
+		c = chainInto(t.grid, b.chain, t.pdfs[id], c, w.pdfLo, min(w.pdfHi, c.top))
 		inPath[id] = true
 	}
 	remaining := make([]int, 0, len(t.Dists)-len(path))
@@ -112,7 +111,7 @@ func (b *builder) childrenOf(path rank.Ordering, parentPosterior float64) ([]*No
 
 	parent := &Node{Tuple: -1, Prob: parentPosterior, depth: len(path)}
 	// expand with k = depth+1 materializes exactly one level.
-	if err := b.expand(parent, c, top, remaining, len(path)+1, nil); err != nil {
+	if err := b.expand(parent, c, remaining, len(path)+1, nil); err != nil {
 		return nil, err
 	}
 	if len(parent.Children) == 0 {
@@ -123,7 +122,7 @@ func (b *builder) childrenOf(path rank.Ordering, parentPosterior float64) ([]*No
 		// matters here.
 		eps := b.opt.ProbEpsilon
 		b.opt.ProbEpsilon = 1e-300
-		err := b.expand(parent, c, top, remaining, len(path)+1, nil)
+		err := b.expand(parent, c, remaining, len(path)+1, nil)
 		b.opt.ProbEpsilon = eps
 		if err != nil {
 			return nil, err

@@ -1,103 +1,6 @@
 package tpo
 
-import (
-	"fmt"
-	"math/rand"
-
-	"crowdtopk/internal/numeric"
-	"crowdtopk/internal/rank"
-)
-
-// Stats summarizes the shape of a tree of possible orderings.
-type Stats struct {
-	// Depth is the materialized depth, K the target depth.
-	Depth, K int
-	// NodesPerLevel[d] counts nodes at depth d+1 (level 1 is the first
-	// ranked position).
-	NodesPerLevel []int
-	// MeanBranching[d] is the average child count of level-d nodes
-	// (d = 0 is the root).
-	MeanBranching []float64
-	// LevelEntropy[d] is the Shannon entropy (bits) of the aggregated
-	// prefix distribution at depth d+1 — the per-level uncertainty profile
-	// that the U_Hw measure weights.
-	LevelEntropy []float64
-	// Leaves is the number of possible orderings; Tuples the number of
-	// distinct tuples appearing in the tree.
-	Leaves, Tuples int
-}
-
-// ComputeStats walks the tree once and returns its shape summary.
-//
-// The per-level prefix distributions are aggregated by node identity: the
-// children of a node carry distinct tuples, so each depth-l node terminates
-// exactly one distinct length-l prefix and its subtree leaf mass is that
-// prefix's aggregated weight. No per-prefix keys (previously O(K·leaves)
-// fmt.Sprint allocations per call) are needed.
-func (t *Tree) ComputeStats() Stats {
-	st := Stats{Depth: t.depth, K: t.K}
-	st.NodesPerLevel = make([]int, t.depth)
-	childCount := make([]int, t.depth+1)  // children per level
-	parentCount := make([]int, t.depth+1) // nodes with children per level
-	levelMasses := make([][]float64, t.depth)
-	var rec func(n *Node) float64
-	rec = func(n *Node) float64 {
-		if n.depth < t.depth {
-			childCount[n.depth] += len(n.Children)
-			parentCount[n.depth]++
-		}
-		var mass float64
-		if n.depth == t.depth && n != t.Root {
-			st.Leaves++
-			mass = n.Prob
-		}
-		for _, c := range n.Children {
-			mass += rec(c)
-		}
-		if n.Tuple >= 0 {
-			st.NodesPerLevel[n.depth-1]++
-			levelMasses[n.depth-1] = append(levelMasses[n.depth-1], mass)
-		}
-		return mass
-	}
-	rec(t.Root)
-	st.MeanBranching = make([]float64, t.depth)
-	for d := 0; d < t.depth; d++ {
-		if parentCount[d] > 0 {
-			st.MeanBranching[d] = float64(childCount[d]) / float64(parentCount[d])
-		}
-	}
-	st.LevelEntropy = make([]float64, t.depth)
-	for d, ws := range levelMasses {
-		st.LevelEntropy[d] = numeric.EntropyBits(ws)
-	}
-	st.Tuples = len(t.Tuples())
-	return st
-}
-
-// String implements fmt.Stringer.
-func (s Stats) String() string {
-	return fmt.Sprintf("tpo{depth %d/%d, leaves %d, tuples %d, nodes/level %v}",
-		s.Depth, s.K, s.Leaves, s.Tuples, s.NodesPerLevel)
-}
-
-// SampleOrdering draws one ordering from the leaf distribution by inverse
-// CDF over the (normalized) leaf weights. It is the Monte-Carlo counterpart
-// of the exact machinery, used for cross-checks and downstream estimators.
-func (ls *LeafSet) SampleOrdering(rng *rand.Rand) rank.Ordering {
-	if ls.Len() == 0 {
-		return nil
-	}
-	u := rng.Float64() * numeric.Sum(ls.W)
-	acc := 0.0
-	for i, w := range ls.W {
-		acc += w
-		if u <= acc {
-			return ls.Paths[i].Clone()
-		}
-	}
-	return ls.Paths[ls.Len()-1].Clone()
-}
+import "crowdtopk/internal/numeric"
 
 // TopKProbability returns, for each tuple, the probability that it appears
 // anywhere in the top-K result — the per-tuple marginal applications often

@@ -2,97 +2,12 @@ package tpo
 
 import (
 	"bytes"
-	"math"
-	"math/rand"
 	"strings"
 	"testing"
 
 	"crowdtopk/internal/numeric"
 	"crowdtopk/internal/rank"
 )
-
-func TestComputeStatsIID(t *testing.T) {
-	tree, err := Build(iidUniforms(t, 3), 3, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := tree.ComputeStats()
-	if st.Leaves != 6 || st.Tuples != 3 || st.Depth != 3 {
-		t.Fatalf("stats = %+v", st)
-	}
-	wantNodes := []int{3, 6, 6}
-	for i, w := range wantNodes {
-		if st.NodesPerLevel[i] != w {
-			t.Fatalf("NodesPerLevel = %v, want %v", st.NodesPerLevel, wantNodes)
-		}
-	}
-	// Root has 3 children; level-1 nodes have 2 each; level-2 have 1.
-	wantBranch := []float64{3, 2, 1}
-	for i, w := range wantBranch {
-		if !numeric.AlmostEqual(st.MeanBranching[i], w, 1e-9) {
-			t.Fatalf("MeanBranching = %v, want %v", st.MeanBranching, wantBranch)
-		}
-	}
-	// Level entropies of the iid tree: log2(3), log2(6), log2(6).
-	want := []float64{math.Log2(3), math.Log2(6), math.Log2(6)}
-	for i, w := range want {
-		if math.Abs(st.LevelEntropy[i]-w) > 0.01 {
-			t.Fatalf("LevelEntropy = %v, want %v", st.LevelEntropy, want)
-		}
-	}
-	if s := st.String(); !strings.Contains(s, "leaves 6") {
-		t.Fatalf("String = %q", s)
-	}
-}
-
-func TestComputeStatsAfterPrune(t *testing.T) {
-	tree, err := Build(iidUniforms(t, 3), 3, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.Prune(Answer{Q: NewQuestion(0, 1), Yes: true}); err != nil {
-		t.Fatal(err)
-	}
-	st := tree.ComputeStats()
-	if st.Leaves != 3 {
-		t.Fatalf("leaves after prune = %d", st.Leaves)
-	}
-	// Level-1 entropy covers the 3 possible leaders {0, 2} — tuple 1 can
-	// no longer lead.
-	if st.LevelEntropy[0] >= math.Log2(3) {
-		t.Fatalf("level-1 entropy %g did not drop below log2(3)", st.LevelEntropy[0])
-	}
-}
-
-func TestSampleOrderingMatchesWeights(t *testing.T) {
-	ls := &LeafSet{
-		K:     2,
-		Paths: []rank.Ordering{{0, 1}, {1, 0}},
-		W:     []float64{0.8, 0.2},
-	}
-	rng := rand.New(rand.NewSource(9))
-	const n = 20000
-	first := 0
-	for i := 0; i < n; i++ {
-		o := ls.SampleOrdering(rng)
-		if o.Equal(rank.Ordering{0, 1}) {
-			first++
-		}
-	}
-	frac := float64(first) / n
-	if math.Abs(frac-0.8) > 0.02 {
-		t.Fatalf("sampled frequency %g, want ≈0.8", frac)
-	}
-	if got := (&LeafSet{}).SampleOrdering(rng); got != nil {
-		t.Fatalf("empty set sample = %v", got)
-	}
-	// Sampling must return a copy.
-	o := ls.SampleOrdering(rng)
-	o[0] = 99
-	if ls.Paths[0][0] == 99 || ls.Paths[1][0] == 99 {
-		t.Fatal("SampleOrdering returned shared storage")
-	}
-}
 
 func TestTopKProbability(t *testing.T) {
 	ls := &LeafSet{
@@ -170,28 +85,5 @@ func TestReadLeafSetJSONValidation(t *testing.T) {
 				t.Fatalf("accepted %q", c.in)
 			}
 		})
-	}
-}
-
-func TestSampledOrderingsAgreeWithLevelEntropy(t *testing.T) {
-	// Property link between two independent code paths: the empirical
-	// first-rank distribution of sampled orderings must match the tree's
-	// level-1 entropy profile source (root children probabilities).
-	tree, err := Build(iidUniforms(t, 4), 2, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls := tree.LeafSet()
-	rng := rand.New(rand.NewSource(31))
-	counts := map[int]int{}
-	const n = 40000
-	for i := 0; i < n; i++ {
-		counts[ls.SampleOrdering(rng)[0]]++
-	}
-	for _, c := range tree.Root.Children {
-		emp := float64(counts[c.Tuple]) / n
-		if math.Abs(emp-c.Prob) > 0.01 {
-			t.Fatalf("tuple %d: empirical first-rank %g vs tree %g", c.Tuple, emp, c.Prob)
-		}
 	}
 }

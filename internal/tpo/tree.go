@@ -46,9 +46,12 @@ type Tree struct {
 	Dists []dist.Distribution
 
 	grid *numeric.Grid
-	pdfs [][]float64    // per-tuple PDF samples on grid; nil after Build
-	cdfs [][]float64    // per-tuple CDF samples on grid; nil after Build
-	wins []sampleWindow // per-tuple nonzero bounds of pdfs and cdfs
+	// Per-tuple PDF and CDF samples on grid and their bounds. Only Extend
+	// reads them: they are nil after Build and in a tree FromLeafSet
+	// restores at depth K.
+	pdfs [][]float64
+	cdfs [][]float64
+	wins []sampleWindow
 
 	depth     int          // current construction depth (== K after a full Build)
 	buildMass float64      // unnormalized mass found by Build, ≈1

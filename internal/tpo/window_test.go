@@ -318,7 +318,8 @@ func checkAgainstFullGrid(t *testing.T, name string, ds []dist.Distribution, k i
 }
 
 // TestWindowBoundsAreExact checks the sampled windows against the arrays
-// they bound, including PDFs whose outer bins carry no mass.
+// they bound, including PDFs whose outer bins carry no mass: every sample at
+// or after the saturation bound is exactly 1, and the one before it is not.
 func TestWindowBoundsAreExact(t *testing.T) {
 	for _, family := range []string{"uniform", "gaussian", "triangular", "piecewise"} {
 		ds := oracleDataset(t, family, 8, 2, 3)
@@ -326,10 +327,17 @@ func TestWindowBoundsAreExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		saturating := 0
 		for id, w := range tr.wins {
 			pdf, cdf := tr.pdfs[id], tr.cdfs[id]
 			if w.pdfLo > w.pdfHi || pdf[w.pdfLo] == 0 || pdf[w.pdfHi] == 0 || cdf[w.cdfLo] == 0 {
 				t.Fatalf("%s tuple %d: window %+v does not start and end on nonzero samples", family, id, w)
+			}
+			if w.cdfOne > 0 && cdf[w.cdfOne-1] == 1 {
+				t.Fatalf("%s tuple %d: cdf[%d] = 1 below saturation bound %+v", family, id, w.cdfOne-1, w)
+			}
+			if w.cdfOne < len(cdf) {
+				saturating++
 			}
 			for i := range pdf {
 				if (i < w.pdfLo || i > w.pdfHi) && pdf[i] != 0 {
@@ -338,7 +346,13 @@ func TestWindowBoundsAreExact(t *testing.T) {
 				if i < w.cdfLo && cdf[i] != 0 {
 					t.Fatalf("%s tuple %d: cdf[%d] = %g below window %+v", family, id, i, cdf[i], w)
 				}
+				if i >= w.cdfOne && cdf[i] != 1 {
+					t.Fatalf("%s tuple %d: cdf[%d] = %g at or after saturation bound %+v", family, id, i, cdf[i], w)
+				}
 			}
+		}
+		if saturating == 0 {
+			t.Errorf("%s: no tuple's CDF reaches 1 on the grid", family)
 		}
 	}
 }
